@@ -349,13 +349,20 @@ def bench_pass_pipeline(
 ) -> dict:
     """The creduce-style pass pipeline vs the pre-pipeline chain.
 
-    The chain is what the harness did before the scheduler existed: ddmin
-    with the payload post-pass (``shrink_function_payloads=True``) followed
-    by a standalone spirv-reduce cleanup.  The pipeline must never leave a
-    *larger* result (sequence or module) and must stay within 1.25x the
-    chain's probe count, and its result must be worker-count invariant
-    (K=1 vs K=2 byte-identical).
+    The chain is built from the reference functions: ddmin
+    (:func:`~repro.core.reducer.reduce_transformations`), the payload
+    post-pass (:func:`~repro.core.reducer.shrink_add_function_payloads`),
+    then a standalone :func:`~repro.core.reducer.spirv_reduce` cleanup.
+    The pipeline must never leave a *larger* result (sequence or module)
+    and must stay within 1.25x the chain's probe count, and its result must
+    be worker-count invariant (K=1 vs K=2 byte-identical).
     """
+    from repro.core.reducer import (
+        reduce_transformations,
+        shrink_add_function_payloads,
+        spirv_reduce,
+    )
+    from repro.perf.replay_cache import CachedReplayer
     from repro.reduce import DEFAULT_PASS_NAMES
 
     harness = Harness(
@@ -381,11 +388,20 @@ def bench_pass_pipeline(
     identical = True
     for finding in findings:
         started = time.perf_counter()
-        chain = harness.reduce_finding(finding, shrink_function_payloads=True)
-        cleaned = harness.spirv_cleanup(finding, chain.transformations)
+        test = harness.make_interestingness_test(
+            finding, replayer=CachedReplayer(finding.original, finding.inputs)
+        )
+        chain = reduce_transformations(finding.transformations, test)
+        shrunk = shrink_add_function_payloads(chain.transformations, test)
+        module, module_verdict = harness.make_probe_test(finding).module_probe(
+            shrunk.transformations
+        )
+        cleaned = spirv_reduce(
+            module, lambda candidate: module_verdict(candidate).interesting
+        )
         chain_seconds += time.perf_counter() - started
-        chain_probes += chain.tests_run + cleaned.tests_run
-        chain_length += len(chain.transformations)
+        chain_probes += chain.tests_run + shrunk.tests_run + cleaned.tests_run
+        chain_length += len(shrunk.transformations)
         chain_instructions += sum(1 for _ in cleaned.module.all_instructions())
 
         started = time.perf_counter()

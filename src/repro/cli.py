@@ -198,10 +198,11 @@ def reduce_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--reduce-passes",
         default=None,
-        help="run the creduce-style pass pipeline instead of the single "
-        "ddmin loop: a comma-separated pass list (available: type-batch, "
-        "ddmin, payload-shrink, cleanup; 'default' expands to all four), "
-        "scheduled in groups to a global fixpoint",
+        help="the reducer's pass list, scheduled in groups to a global "
+        "fixpoint: comma-separated pass names (available: type-batch, "
+        "ddmin, payload-shrink, cleanup; 'default' expands to all four).  "
+        "Without it the reducer runs the single ddmin pass, the paper's "
+        "delta debugging",
     )
     parser.add_argument(
         "--giveup",
@@ -221,7 +222,7 @@ def reduce_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.resume and args.reduce_journal is None:
         parser.error("--resume requires --reduce-journal")
-    passes = None
+    passes = ["ddmin"]
     if args.reduce_passes is not None:
         from repro.reduce import DEFAULT_PASS_NAMES, PASS_REGISTRY
 

@@ -78,7 +78,7 @@ from repro.core.dedup import (
 from repro.core.transformation import SUPPORTING_TYPES
 from repro.observability import as_tracer
 from repro.robustness.chaos import REAL_FILEOPS, FileOps
-from repro.robustness.journal import parse_record, seal_record
+from repro.robustness.sealed import parse_record, seal_record
 
 DEDUP_JOURNAL_VERSION = 1
 

@@ -12,6 +12,7 @@ again.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -19,7 +20,9 @@ from typing import Callable, Sequence
 from repro.compilers.base import FAULT_KINDS, OutcomeKind, TargetOutcome
 from repro.compilers.pipeline import Target, optimize
 from repro.core.fuzzer import Fuzzer, FuzzerOptions
-from repro.core.reducer import (
+# ``reduce_transformations`` stays importable from this module:
+# perfbench/layers.py wraps it here by name.
+from repro.core.reducer import (  # noqa: F401
     InterestingnessTest,
     ReductionResult,
     reduce_transformations,
@@ -166,6 +169,87 @@ class CampaignResult:
     def all_signatures(self) -> set[tuple[str, str]]:
         """(target, signature) pairs — distinct bug signatures overall."""
         return {(f.target_name, f.signature) for f in self.findings}
+
+
+class VerdictProbe:
+    """The one verdict probe for a finding (the §3.4 interestingness test).
+
+    A probe replays a candidate transformation sequence (through *replayer*
+    when given), optimizes the variant when the finding came from the
+    optimized flow, runs it on the finding's target and classifies the
+    outcome against the original's reference outcome, computed once when
+    the probe is built.  Calling it returns a :class:`~repro.robustness.
+    ProbeVerdict`; :meth:`interestingness_test` is the boolean view and
+    :meth:`module_probe` the module-stage view.
+
+    A supervision fault (timeout / OOM / worker death) that is *not* the
+    finding's own bug kind reports the fault instead of a clean ``False``,
+    so the fault-tolerant reducer retries it and, once the fault budget is
+    spent, treats it as "not interesting" (never acceptance).  Reducing a
+    fault-kind finding (e.g. a genuine ``timeout`` bug) still classifies
+    normally: there the fault *is* the signal.  The probe itself memoizes
+    nothing — caching a faulted probe would defeat the retry policy.
+    """
+
+    def __init__(
+        self, harness: "Harness", finding: Finding, replayer: "object | None" = None
+    ) -> None:
+        self.finding = finding
+        self.replayer = replayer
+        self.target = next(
+            t for t in harness.targets if t.name == finding.target_name
+        )
+        self._optimize = harness._optimize
+        self._reference = self.target.run(finding.original, finding.inputs)
+
+    def _replay(self, sequence: Sequence[Transformation]):
+        if self.replayer is not None:
+            return self.replayer.replay(sequence)
+        return replay(self.finding.original, self.finding.inputs, sequence)
+
+    def verdict(self, module: Module, inputs: dict) -> "object":
+        """The verdict for one materialized variant *module*."""
+        from repro.robustness import ProbeVerdict
+
+        finding = self.finding
+        if finding.optimized_flow:
+            module = self._optimize(module)
+        outcome = self.target.run(module, inputs)
+        if (
+            outcome.kind in FAULT_KINDS
+            and _FAULT_CLASSIFICATION[outcome.kind][0] != finding.kind
+        ):
+            return ProbeVerdict(False, fault=outcome.kind.value)
+        classified = classify_outcome(outcome, self._reference)
+        return ProbeVerdict(
+            classified is not None
+            and classified[:2] == (finding.signature, finding.kind)
+        )
+
+    def __call__(self, candidate: Sequence[Transformation]) -> "object":
+        ctx = self._replay(candidate)
+        # ctx.inputs reflects any input-extending transformations that
+        # survived into the candidate.
+        return self.verdict(ctx.module, ctx.inputs)
+
+    def is_interesting(self, candidate: Sequence[Transformation]) -> bool:
+        return bool(self(candidate).interesting)
+
+    def interestingness_test(self) -> InterestingnessTest:
+        """The boolean view; verdicts are memoized per candidate when a
+        replayer is bound."""
+        if self.replayer is None:
+            return self.is_interesting
+        from repro.perf.replay_cache import CachedInterestingness
+
+        return CachedInterestingness(self.replayer, self.is_interesting)
+
+    def module_probe(self, sequence: Sequence[Transformation]):
+        """A pipeline ``module_probe``: the module *sequence* materializes,
+        plus a verdict test over edits of that module (probed on the inputs
+        the sequence produced)."""
+        ctx = self._replay(sequence)
+        return ctx.module, functools.partial(self.verdict, inputs=ctx.inputs)
 
 
 class Harness:
@@ -701,88 +785,21 @@ class Harness:
         """A script-equivalent predicate: does a candidate transformation
         subsequence still trigger this finding's bug on its target?
 
-        With a :class:`~repro.perf.replay_cache.CachedReplayer` bound to the
+        The boolean view of :meth:`make_probe_test`.  With a
+        :class:`~repro.perf.replay_cache.CachedReplayer` bound to the
         finding, candidate replays reuse prefix snapshots and verdicts are
         memoized — results stay byte-identical to the uncached predicate.
         """
-        target = next(t for t in self.targets if t.name == finding.target_name)
-        reference = target.run(finding.original, finding.inputs)
-        if replayer is not None:
-            replay_candidate = replayer.replay
-        else:
-            def replay_candidate(candidate: Sequence[Transformation]):
-                return replay(finding.original, finding.inputs, candidate)
-
-        def is_interesting(candidate: Sequence[Transformation]) -> bool:
-            ctx = replay_candidate(candidate)
-            variant = ctx.module
-            if finding.optimized_flow:
-                variant = self._optimize(variant)
-            # ctx.inputs reflects any input-extending transformations that
-            # survived into the candidate.
-            outcome = target.run(variant, ctx.inputs)
-            classified = classify_outcome(outcome, reference)
-            if classified is None:
-                return False
-            signature, kind, _ = classified
-            return kind == finding.kind and signature == finding.signature
-
-        if replayer is not None:
-            from repro.perf.replay_cache import CachedInterestingness
-
-            return CachedInterestingness(replayer, is_interesting)
-        return is_interesting
+        probe = self.make_probe_test(finding, replayer=replayer)
+        return probe.interestingness_test()
 
     def make_probe_test(
         self, finding: Finding, *, replayer: "object | None" = None
-    ):
-        """Like :meth:`make_interestingness_test`, but fault-aware: returns a
-        verdict test mapping candidates to :class:`~repro.robustness.
-        ProbeVerdict` for the fault-tolerant reducer.
-
-        A probe whose target outcome is a supervision fault (timeout / OOM /
-        worker death) that is *not* the finding's own bug kind reports the
-        fault instead of a clean ``False`` — the pipeline retries it and,
-        once the fault budget is spent, treats it as "not interesting" (never
-        acceptance).  Reducing a fault-kind finding (e.g. a genuine
-        ``timeout`` bug) still classifies normally: there the fault *is* the
-        signal.
-
-        No verdict memoization is layered here even when a *replayer* is
-        given — caching a faulted probe would defeat the retry policy.  The
-        :class:`~repro.robustness.FlakeHardenedOracle` memoizes final
-        *decisions* by candidate content instead, and counts its queries into
-        the replayer's :class:`~repro.perf.replay_cache.ReplayStats`.
-        """
-        from repro.robustness import ProbeVerdict
-
-        target = next(t for t in self.targets if t.name == finding.target_name)
-        reference = target.run(finding.original, finding.inputs)
-        if replayer is not None:
-            replay_candidate = replayer.replay
-        else:
-            def replay_candidate(candidate: Sequence[Transformation]):
-                return replay(finding.original, finding.inputs, candidate)
-
-        def probe_test(candidate: Sequence[Transformation]) -> "ProbeVerdict":
-            ctx = replay_candidate(candidate)
-            variant = ctx.module
-            if finding.optimized_flow:
-                variant = self._optimize(variant)
-            outcome = target.run(variant, ctx.inputs)
-            if outcome.kind in FAULT_KINDS:
-                fault_kind = _FAULT_CLASSIFICATION[outcome.kind][0]
-                if finding.kind != fault_kind:
-                    return ProbeVerdict(False, fault=outcome.kind.value)
-            classified = classify_outcome(outcome, reference)
-            if classified is None:
-                return ProbeVerdict(False)
-            signature, kind, _ = classified
-            return ProbeVerdict(
-                kind == finding.kind and signature == finding.signature
-            )
-
-        return probe_test
+    ) -> "VerdictProbe":
+        """This finding's :class:`VerdictProbe`: candidates map to
+        :class:`~repro.robustness.ProbeVerdict` for the fault-tolerant
+        reducer, and the probe also serves the boolean and module views."""
+        return VerdictProbe(self, finding, replayer)
 
     def finding_probe_spec(
         self,
@@ -896,7 +913,8 @@ class Harness:
                 self.metrics.inc(f"replay.{field_name}", value)
         speculation = getattr(result, "speculation", None)
         extra: dict = {}
-        if speculation is not None:
+        # Inline (serial) ddmin legs carry zero-speculation stats too.
+        if speculation is not None and speculation.mode == "pool":
             self.metrics.inc("reduce.parallel")
             self.metrics.inc("reduce.speculation.dispatched", speculation.dispatched)
             self.metrics.inc("reduce.speculation.committed", speculation.committed)
@@ -923,76 +941,70 @@ class Harness:
         )
         return result
 
-    def _module_probe_factory(self, finding: Finding, replayer: "object | None" = None):
-        """A pipeline ``module_probe``: maps the surviving sequence to the
-        materialized module plus a module-level verdict test (the module
-        analogue of :meth:`make_probe_test`), so module-stage passes probe
-        through the same fault classification as sequence passes."""
-        from repro.robustness import ProbeVerdict
-
-        target = next(t for t in self.targets if t.name == finding.target_name)
-
-        def module_probe(sequence):
-            reference = target.run(finding.original, finding.inputs)
-            if replayer is not None:
-                ctx = replayer.replay(sequence)
-            else:
-                ctx = replay(finding.original, finding.inputs, sequence)
-            inputs = ctx.inputs
-
-            def module_verdict(module) -> "ProbeVerdict":
-                variant = module
-                if finding.optimized_flow:
-                    variant = self._optimize(variant)
-                outcome = target.run(variant, inputs)
-                if outcome.kind in FAULT_KINDS:
-                    fault_kind = _FAULT_CLASSIFICATION[outcome.kind][0]
-                    if finding.kind != fault_kind:
-                        return ProbeVerdict(False, fault=outcome.kind.value)
-                classified = classify_outcome(outcome, reference)
-                if classified is None:
-                    return ProbeVerdict(False)
-                signature, kind, _ = classified
-                return ProbeVerdict(
-                    kind == finding.kind and signature == finding.signature
-                )
-
-            return ctx.module, module_verdict
-
-        return module_probe
-
-    def spirv_cleanup(self, finding: Finding, transformations: Sequence):
-        """Run the spirv-reduce module post-pass on the variant that
-        *transformations* materializes (the standalone cleanup stage of the
-        pre-pipeline chain; the pass pipeline's ``cleanup`` pass is the
-        journaled, fault-enveloped equivalent)."""
-        from repro.core.reducer import spirv_reduce
-
-        module, module_verdict = self._module_probe_factory(finding)(transformations)
-
-        def is_interesting_module(candidate) -> bool:
-            return bool(module_verdict(candidate).interesting)
-
-        return spirv_reduce(module, is_interesting_module)
-
-    def _reduce_with_pipeline(
+    def reduce_finding(
         self,
         finding: Finding,
-        passes: Sequence,
         *,
-        giveup: int | None,
-        use_cache: bool,
-        max_seconds: float | None,
-        policy: "object | None",
-        journal: "object | None",
-        resume: bool,
-        workers: int | None,
-        window: int | None,
-        probe_batch: int | None,
+        passes: Sequence = ("ddmin",),
+        giveup: int | None = None,
+        use_cache: bool = True,
+        max_seconds: float | None = None,
+        policy: "object | None" = None,
+        journal: "object | None" = None,
+        resume: bool = False,
+        workers: int | None = None,
+        window: int | None = None,
+        probe_batch: int | None = None,
     ) -> ReductionResult:
-        """The :meth:`reduce_finding` body for ``passes=...``: build a
-        :class:`~repro.reduce.PipelineContext` over this finding's probes and
-        run the creduce-style pass scheduler."""
+        """Reduce the finding's transformation sequence (§3.4) with the
+        creduce-style :class:`~repro.reduce.PassPipeline`.
+
+        *passes* is a list of pass names / instances (see
+        :data:`~repro.reduce.DEFAULT_PASS_NAMES`) run in groups to a global
+        fixpoint with a per-pass give-up budget (*giveup*, default 1000
+        consecutive rejections).  The default, ``("ddmin",)``, is the
+        paper's delta debugging: it returns exactly what
+        :func:`~repro.core.reducer.reduce_transformations` returns over
+        :meth:`make_interestingness_test` — sequence, ``tests_run``,
+        ``history`` and ``chunks_removed``.  Every pass probes through the
+        finding's one :class:`VerdictProbe`.
+
+        ``use_cache`` (the default) routes candidate replays through a
+        prefix-caching replayer; disable it to reproduce the paper's
+        pay-full-price reduction exactly (the reduced sequences are
+        identical either way — only the work differs).
+
+        ``max_seconds`` bounds the whole reduction's wall clock (the result is
+        still a valid interesting subsequence, just not necessarily 1-minimal;
+        ``ReductionResult.timed_out`` is set).
+
+        The **fault envelope** (a :class:`~repro.robustness.reduction.
+        FlakeHardenedOracle` per pass) engages whenever the harness
+        supervises its targets (a :class:`~repro.robustness.RobustnessConfig`
+        was given) or the caller passes any of *policy* (a
+        :class:`~repro.robustness.ReductionPolicy`), *journal* (a path or
+        :class:`~repro.robustness.ReductionJournal` for checkpoint/resume),
+        or ``resume=True``.  On a deterministic, well-behaved target it
+        returns the same reduced sequence as the plain path; under faults or
+        flaky verdicts it retries, votes, degrades to best-so-far, and — with
+        a journal — survives ``SIGKILL``.  Supervised probes are clamped to
+        the remaining ``max_seconds`` budget, so reduction cannot hang on a
+        target that stops answering.
+
+        ``workers > 1`` probes ddmin candidates **speculatively in
+        parallel** over a pool of persistent worker processes (each
+        rebuilding this finding's probe — target, replayer, supervision and
+        all — from a picklable spec).  Verdicts commit in serial scan order,
+        so the reduced sequence, ``tests_run``, journal bytes, and
+        accepted-chunk history are byte-identical to the serial path's for a
+        deterministic oracle; only the wall clock changes.  *window* caps the
+        speculation ramp (default ``workers * 4``).  A finding whose probe
+        cannot be rebuilt in a worker silently falls back to the serial
+        path.  ``probe_batch > 1`` ships that many speculation candidates
+        per worker round-trip on the plain path, amortizing IPC; the fault
+        envelope keeps one candidate per trip — its retry and budget
+        bookkeeping is per-probe.
+        """
         from repro.reduce import DEFAULT_GIVEUP, PassPipeline, PipelineContext
 
         fault_tolerant = (
@@ -1001,10 +1013,71 @@ class Harness:
             or resume
             or self.robustness is not None
         )
-        parallel = workers is not None and workers > 1
         pipeline = PassPipeline(
-            passes, giveup=giveup if giveup is not None else DEFAULT_GIVEUP
+            passes, giveup=DEFAULT_GIVEUP if giveup is None else giveup
         )
+        started = self._begin_reduce(finding, pipeline, use_cache, fault_tolerant)
+        replayer = self._replayer(finding) if use_cache else None
+        probe = self.make_probe_test(finding, replayer=replayer)
+        ctx = PipelineContext(
+            pool_key="finding",
+            window=window,
+            probe_batch=probe_batch,
+            max_seconds=max_seconds,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            module_probe=probe.module_probe,
+        )
+        pool_policy = None
+        if fault_tolerant:
+            from dataclasses import replace as dc_replace
+
+            from repro.robustness import find_supervised
+
+            ctx.policy = self._resolve_reduction_policy(policy, max_seconds)
+            ctx.max_seconds = ctx.policy.max_seconds
+            ctx.verdict_test = probe
+            ctx.journal = journal
+            ctx.resume = resume
+            ctx.supervised_target = find_supervised(probe.target)
+            ctx.replay_stats = replayer.stats if replayer is not None else None
+            # Workers decide single candidates; the wall-clock budget stays
+            # with the parent (deadline-bounded commit loop).
+            pool_policy = dc_replace(ctx.policy, max_seconds=None)
+        else:
+            ctx.is_interesting = probe.interestingness_test()
+        try:
+            if workers is not None and workers > 1:
+                ctx.pool = self._reduction_pool(
+                    finding,
+                    ctx.pool_key,
+                    workers,
+                    use_cache=use_cache,
+                    decide=fault_tolerant,
+                    policy=pool_policy,
+                )
+                if ctx.pool is not None:
+                    ctx.workers = workers
+            result = pipeline.run(finding.transformations, ctx)
+            if ctx.pool is not None and replayer is not None:
+                # Worker replay counters fold into the parent's registry over
+                # the same drain/merge path campaign metrics use.
+                replayer.stats.merge_json(ctx.pool.replay_stats_for(ctx.pool_key))
+        finally:
+            if ctx.pool is not None:
+                ctx.pool.close()
+        return self._finish_reduce(
+            finding, result, replayer, started, workers=workers
+        )
+
+    def _begin_reduce(
+        self,
+        finding: Finding,
+        pipeline: "object",
+        use_cache: bool,
+        fault_tolerant: bool,
+    ) -> float:
+        """Emit ``reduce.begin``; return the reduction's start time."""
         self.tracer.emit(
             "reduce.begin",
             target=finding.target_name,
@@ -1015,389 +1088,140 @@ class Harness:
             fault_tolerant=fault_tolerant,
             passes=[p.name for p in pipeline.passes],
         )
-        started = time.perf_counter()
-        replayer = None
-        if use_cache:
-            from repro.perf.replay_cache import CachedReplayer
+        return time.perf_counter()
 
-            replayer = CachedReplayer(finding.original, finding.inputs)
-        pool = None
-        pool_key = "finding"
-        try:
-            shared = dict(
-                workers=workers or 1,
-                window=window,
-                pool_key=pool_key,
-                probe_batch=probe_batch,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                module_probe=self._module_probe_factory(finding, replayer),
-            )
-            if fault_tolerant:
-                from dataclasses import replace as dc_replace
+    @staticmethod
+    def _replayer(finding: Finding) -> "object":
+        from repro.perf.replay_cache import CachedReplayer
 
-                from repro.robustness import find_supervised
-
-                policy = self._resolve_reduction_policy(policy, max_seconds)
-                target = next(
-                    t for t in self.targets if t.name == finding.target_name
-                )
-                probe_test = self.make_probe_test(finding, replayer=replayer)
-                if parallel:
-                    pool = self._reduction_pool(
-                        finding,
-                        pool_key,
-                        workers,
-                        use_cache=use_cache,
-                        decide=True,
-                        policy=dc_replace(policy, max_seconds=None),
-                    )
-                ctx = PipelineContext(
-                    verdict_test=probe_test,
-                    policy=policy,
-                    journal=journal,
-                    resume=resume,
-                    supervised_target=find_supervised(target),
-                    pool=pool,
-                    max_seconds=policy.max_seconds,
-                    replay_stats=replayer.stats if replayer is not None else None,
-                    **shared,
-                )
-            else:
-                test = self.make_interestingness_test(finding, replayer=replayer)
-                if parallel:
-                    pool = self._reduction_pool(
-                        finding, pool_key, workers, use_cache=use_cache, decide=False
-                    )
-                ctx = PipelineContext(
-                    is_interesting=test,
-                    pool=pool,
-                    max_seconds=max_seconds,
-                    **shared,
-                )
-            result = pipeline.run(finding.transformations, ctx)
-            if pool is not None and replayer is not None:
-                replayer.stats.merge_json(pool.replay_stats_for(pool_key))
-        finally:
-            if pool is not None:
-                pool.close()
-        return self._finish_reduce(
-            finding, result, replayer, started, workers=workers
-        )
-
-    def reduce_finding(
-        self,
-        finding: Finding,
-        *,
-        shrink_function_payloads: bool = False,
-        use_cache: bool = True,
-        max_seconds: float | None = None,
-        policy: "object | None" = None,
-        journal: "object | None" = None,
-        resume: bool = False,
-        workers: int | None = None,
-        window: int | None = None,
-        probe_batch: int | None = None,
-        passes: "Sequence | None" = None,
-        giveup: int | None = None,
-    ) -> ReductionResult:
-        """Delta-debug the finding's transformation sequence (§3.4).
-
-        With ``shrink_function_payloads`` the optional spirv-reduce-style
-        post-pass also shrinks the functions encoded in any surviving
-        ``AddFunction`` transformations.  ``use_cache`` (the default) routes
-        candidate replays through a prefix-caching replayer; disable it to
-        reproduce the paper's pay-full-price reduction exactly (the reduced
-        sequences are identical either way — only the work differs).
-
-        ``max_seconds`` bounds the whole reduction's wall clock (the result is
-        still a valid interesting subsequence, just not necessarily 1-minimal;
-        ``ReductionResult.timed_out`` is set).
-
-        The **fault-tolerant pipeline** (:func:`~repro.robustness.reduction.
-        reduce_with_faults`) engages whenever the harness supervises its
-        targets (a :class:`~repro.robustness.RobustnessConfig` was given) or
-        the caller passes any of *policy* (a :class:`~repro.robustness.
-        ReductionPolicy`), *journal* (a path or :class:`~repro.robustness.
-        ReductionJournal` for checkpoint/resume), or ``resume=True``.  On a
-        deterministic, well-behaved target it returns the same reduced
-        sequence as the raw loop; under faults or flaky verdicts it retries,
-        votes, degrades to best-so-far, and — with a journal — survives
-        ``SIGKILL``.  Supervised probes are clamped to the remaining
-        ``max_seconds`` budget, so reduction cannot hang on a target that
-        stops answering.
-
-        ``workers > 1`` probes candidates **speculatively in parallel** over
-        a pool of persistent worker processes (each rebuilding this
-        finding's probe — target, replayer, supervision and all — from a
-        picklable spec).  Verdicts commit in serial scan order, so the
-        reduced sequence, ``tests_run``, journal bytes, and accepted-chunk
-        history are byte-identical to the serial path's for a deterministic
-        oracle; only the wall clock changes.  *window* caps the speculation
-        ramp (default ``workers * 4``).  A finding whose probe cannot be
-        rebuilt in a worker silently falls back to the serial path.
-
-        ``probe_batch > 1`` ships that many speculation candidates per
-        worker round-trip on the plain parallel path, amortizing IPC
-        (verdicts still commit in scan order, so results are unchanged).
-        The fault-tolerant path keeps one candidate per trip — its retry
-        and budget bookkeeping is per-probe.
-
-        ``passes`` switches to the **creduce-style pass pipeline**
-        (:class:`~repro.reduce.PassPipeline`): a list of pass names /
-        instances (see :data:`~repro.reduce.DEFAULT_PASS_NAMES`) run in
-        groups to a global fixpoint with a per-pass give-up budget
-        (*giveup*, default 1000 consecutive rejections).  All other knobs —
-        fault envelope, journal/resume, worker pool, probe batching —
-        compose unchanged; ``shrink_function_payloads`` is ignored (the
-        ``payload-shrink`` pass subsumes it).
-        """
-        if passes is not None:
-            return self._reduce_with_pipeline(
-                finding,
-                passes,
-                giveup=giveup,
-                use_cache=use_cache,
-                max_seconds=max_seconds,
-                policy=policy,
-                journal=journal,
-                resume=resume,
-                workers=workers,
-                window=window,
-                probe_batch=probe_batch,
-            )
-        fault_tolerant = (
-            policy is not None
-            or journal is not None
-            or resume
-            or self.robustness is not None
-        )
-        parallel = workers is not None and workers > 1
-        self.tracer.emit(
-            "reduce.begin",
-            target=finding.target_name,
-            kind=finding.kind,
-            signature=finding.signature,
-            initial_length=len(finding.transformations),
-            cached=use_cache,
-            fault_tolerant=fault_tolerant,
-        )
-        started = time.perf_counter()
-        replayer = None
-        if use_cache:
-            from repro.perf.replay_cache import CachedReplayer
-
-            replayer = CachedReplayer(finding.original, finding.inputs)
-        pool = None
-        pool_key = "finding"
-        try:
-            if fault_tolerant:
-                from dataclasses import replace as dc_replace
-
-                from repro.robustness import find_supervised, reduce_with_faults
-
-                policy = self._resolve_reduction_policy(policy, max_seconds)
-                target = next(
-                    t for t in self.targets if t.name == finding.target_name
-                )
-                probe_test = self.make_probe_test(finding, replayer=replayer)
-                if parallel:
-                    # Workers decide single candidates; the wall-clock budget
-                    # stays with the parent (deadline-bounded commit loop).
-                    pool = self._reduction_pool(
-                        finding,
-                        pool_key,
-                        workers,
-                        use_cache=use_cache,
-                        decide=True,
-                        policy=dc_replace(policy, max_seconds=None),
-                    )
-                result = reduce_with_faults(
-                    finding.transformations,
-                    probe_test,
-                    policy,
-                    journal=journal,
-                    resume=resume,
-                    supervised_target=find_supervised(target),
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                    replay_stats=replayer.stats if replayer is not None else None,
-                    workers=workers if pool is not None else 1,
-                    window=window,
-                    pool=pool,
-                    pool_key=pool_key,
-                )
-                # The post-pass (if requested) runs on the plain boolean view;
-                # faults reject, which is conservative for a greedy shrink.
-                test = lambda candidate: probe_test(candidate).interesting  # noqa: E731
-            else:
-                test = None
-                if parallel:
-                    pool = self._reduction_pool(
-                        finding, pool_key, workers, use_cache=use_cache, decide=False
-                    )
-                if pool is not None:
-                    from repro.perf.parallel_reduce import parallel_reduce
-
-                    result = parallel_reduce(
-                        finding.transformations,
-                        workers=workers,
-                        window=window,
-                        max_seconds=max_seconds,
-                        tracer=self.tracer,
-                        pool=pool,
-                        pool_key=pool_key,
-                        batch=probe_batch,
-                        metrics=self.metrics,
-                    )
-                    if shrink_function_payloads:
-                        test = self.make_interestingness_test(
-                            finding, replayer=replayer
-                        )
-                else:
-                    test = self.make_interestingness_test(finding, replayer=replayer)
-                    result = reduce_transformations(
-                        finding.transformations, test, max_seconds=max_seconds,
-                        tracer=self.tracer,
-                    )
-            if pool is not None and replayer is not None:
-                # Worker replay counters fold into the parent's registry over
-                # the same drain/merge path campaign metrics use.
-                replayer.stats.merge_json(pool.replay_stats_for(pool_key))
-        finally:
-            if pool is not None:
-                pool.close()
-        if shrink_function_payloads:
-            from repro.core.reducer import shrink_add_function_payloads
-
-            shrink = shrink_add_function_payloads(result.transformations, test)
-            result.transformations = shrink.transformations
-            result.tests_run += shrink.tests_run
-        return self._finish_reduce(
-            finding, result, replayer, started, workers=workers
-        )
+        return CachedReplayer(finding.original, finding.inputs)
 
     def reduce_all(
         self,
         findings: Sequence[Finding],
         *,
+        passes: Sequence = ("ddmin",),
+        giveup: int | None = None,
         workers: int | None = None,
         window: int | None = None,
-        shrink_function_payloads: bool = False,
         use_cache: bool = True,
         max_seconds: float | None = None,
         policy: "object | None" = None,
         probe_batch: int | None = None,
-        passes: "Sequence | None" = None,
-        giveup: int | None = None,
     ) -> list[ReductionResult]:
-        """Reduce a campaign's findings **concurrently over one shared worker
-        pool** with fair (round-robin) candidate scheduling, so a stubborn
-        reduction cannot starve the others.  Results come back in *findings*
-        order and each is byte-identical to what a serial
-        :meth:`reduce_finding` would have produced (same engine, same commit
-        protocol).  ``workers=1`` — or a finding set that cannot be shipped
-        to workers — is exactly the serial loop.
+        """Reduce a campaign's findings; results come back in *findings*
+        order, each byte-identical to what :meth:`reduce_finding` returns
+        for it.
 
-        With ``passes`` each finding runs the creduce-style pass pipeline
-        via :meth:`reduce_finding` in sequence — per-finding ddmin legs still
-        use their own worker pool, but the cross-finding fleet scheduling is
-        reserved for the single-pass reducer.
+        With the default ``("ddmin",)`` pass list and ``workers > 1`` the
+        findings reduce **concurrently over one shared worker pool** with
+        fair (round-robin) candidate scheduling, so a stubborn reduction
+        cannot starve the others.  Otherwise — other passes, ``workers=1``,
+        or a finding set that cannot be shipped to workers — this is a loop
+        over :meth:`reduce_finding`, whose ddmin legs still use a
+        per-finding worker pool when ``workers > 1``.
         """
         from repro.perf.parallel import default_worker_count
+        from repro.reduce import DdminPass, PassPipeline
 
         findings = list(findings)
         if workers is None or workers <= 0:
             workers = default_worker_count()
-        if passes is not None:
-            return [
-                self.reduce_finding(
-                    finding,
-                    passes=passes,
-                    giveup=giveup,
-                    use_cache=use_cache,
-                    max_seconds=max_seconds,
-                    policy=policy,
-                    workers=workers,
-                    window=window,
-                    probe_batch=probe_batch,
-                )
-                for finding in findings
-            ]
-        serial_kwargs = dict(
-            shrink_function_payloads=shrink_function_payloads,
-            use_cache=use_cache,
-            max_seconds=max_seconds,
-            policy=policy,
-        )
-        if workers == 1 or not findings:
-            return [self.reduce_finding(f, **serial_kwargs) for f in findings]
+        resolved = PassPipeline(passes).passes
+        if (
+            findings
+            and workers > 1
+            and len(resolved) == 1
+            and isinstance(resolved[0], DdminPass)
+        ):
+            fleet = self._reduce_fleet(
+                findings,
+                workers,
+                window=window,
+                use_cache=use_cache,
+                max_seconds=max_seconds,
+                policy=policy,
+                probe_batch=probe_batch,
+            )
+            if fleet is not None:
+                return fleet
+        return [
+            self.reduce_finding(
+                finding,
+                passes=passes,
+                giveup=giveup,
+                use_cache=use_cache,
+                max_seconds=max_seconds,
+                policy=policy,
+                workers=workers,
+                window=window,
+                probe_batch=probe_batch,
+            )
+            for finding in findings
+        ]
 
+    def _reduce_fleet(
+        self,
+        findings: list[Finding],
+        workers: int,
+        *,
+        window: int | None,
+        use_cache: bool,
+        max_seconds: float | None,
+        policy: "object | None",
+        probe_batch: int | None,
+    ) -> list[ReductionResult] | None:
+        """:meth:`reduce_all`'s cross-finding fleet: every finding's ddmin
+        over one shared :class:`~repro.perf.reduce_pool.ReductionPool`.
+        ``None`` when some finding's probe cannot be shipped to workers."""
         from dataclasses import replace as dc_replace
-
-        from repro.perf.reduce_pool import ReductionPool
-
-        fault_tolerant = policy is not None or self.robustness is not None
-        resolved_policy = (
-            self._resolve_reduction_policy(policy, max_seconds)
-            if fault_tolerant
-            else None
-        )
-        specs: dict[str, "object"] = {}
-        try:
-            for index, finding in enumerate(findings):
-                specs[f"finding-{index}"] = self.finding_probe_spec(
-                    finding,
-                    use_cache=use_cache,
-                    decide=fault_tolerant,
-                    policy=(
-                        dc_replace(resolved_policy, max_seconds=None)
-                        if fault_tolerant
-                        else None
-                    ),
-                )
-        except (KeyError, ValueError):
-            return [self.reduce_finding(f, **serial_kwargs) for f in findings]
-        if any(not ReductionPool.shippable(spec) for spec in specs.values()):
-            return [self.reduce_finding(f, **serial_kwargs) for f in findings]
 
         from repro.perf.parallel_reduce import (
             SpeculativePlainReduction,
             run_sessions,
         )
+        from repro.perf.reduce_pool import ReductionPool
+        from repro.reduce import PassPipeline
+        from repro.reduce.pipeline import ddmin_pipeline_result
         from repro.robustness import find_supervised
         from repro.robustness.reduction import SpeculativeFaultReduction
 
-        pool = ReductionPool(specs, workers)
-        entries: list[dict] = []
+        fault_tolerant = policy is not None or self.robustness is not None
+        pool_policy = None
+        if fault_tolerant:
+            policy = self._resolve_reduction_policy(policy, max_seconds)
+            pool_policy = dc_replace(policy, max_seconds=None)
         try:
-            for index, finding in enumerate(findings):
-                key = f"finding-{index}"
-                self.tracer.emit(
-                    "reduce.begin",
-                    target=finding.target_name,
-                    kind=finding.kind,
-                    signature=finding.signature,
-                    initial_length=len(finding.transformations),
-                    cached=use_cache,
-                    fault_tolerant=fault_tolerant,
+            specs = {
+                f"finding-{index}": self.finding_probe_spec(
+                    finding,
+                    use_cache=use_cache,
+                    decide=fault_tolerant,
+                    policy=pool_policy,
                 )
-                started = time.perf_counter()
-                replayer = None
-                if use_cache:
-                    from repro.perf.replay_cache import CachedReplayer
+                for index, finding in enumerate(findings)
+            }
+        except (KeyError, ValueError):
+            return None
+        if not all(ReductionPool.shippable(spec) for spec in specs.values()):
+            return None
 
-                    replayer = CachedReplayer(finding.original, finding.inputs)
+        pipeline = PassPipeline(["ddmin"])
+        pool = ReductionPool(specs, workers)
+        entries = []
+        try:
+            for key, finding in zip(specs, findings):
+                started = self._begin_reduce(
+                    finding, pipeline, use_cache, fault_tolerant
+                )
+                replayer = self._replayer(finding) if use_cache else None
                 if fault_tolerant:
-                    target = next(
-                        t for t in self.targets if t.name == finding.target_name
-                    )
-                    probe_test = self.make_probe_test(finding, replayer=replayer)
+                    probe = self.make_probe_test(finding, replayer=replayer)
                     reduction = SpeculativeFaultReduction(
                         finding.transformations,
-                        probe_test,
-                        resolved_policy,
-                        supervised_target=find_supervised(target),
+                        probe,
+                        policy,
+                        supervised_target=find_supervised(probe.target),
                         tracer=self.tracer,
                         metrics=self.metrics,
                         replay_stats=(
@@ -1406,11 +1230,6 @@ class Harness:
                         workers=workers,
                         window=window,
                         pool_key=key,
-                    )
-                    probe_bool = (
-                        lambda candidate, _probe=probe_test: _probe(
-                            candidate
-                        ).interesting
                     )
                 else:
                     reduction = SpeculativePlainReduction(
@@ -1422,51 +1241,23 @@ class Harness:
                         max_seconds=max_seconds,
                         tracer=self.tracer,
                     )
-                    probe_bool = None
-                entries.append(
-                    dict(
-                        finding=finding,
-                        key=key,
-                        started=started,
-                        replayer=replayer,
-                        reduction=reduction,
-                        probe_bool=probe_bool,
-                    )
-                )
-            sessions = [
-                entry["reduction"].session
-                for entry in entries
-                if entry["reduction"].session is not None
-            ]
+                entries.append((finding, key, started, replayer, reduction))
             run_sessions(
-                pool, sessions, batch=probe_batch or 1, metrics=self.metrics
+                pool,
+                [entry[-1].session for entry in entries if entry[-1].session],
+                batch=probe_batch or 1,
+                metrics=self.metrics,
             )
             results = []
-            for entry in entries:
-                result = entry["reduction"].finalize()
-                replayer = entry["replayer"]
+            for finding, key, started, replayer, reduction in entries:
+                result = ddmin_pipeline_result(
+                    reduction.finalize(), ran=reduction.session is not None
+                )
                 if replayer is not None:
-                    replayer.stats.merge_json(pool.replay_stats_for(entry["key"]))
-                if shrink_function_payloads:
-                    from repro.core.reducer import shrink_add_function_payloads
-
-                    test = entry["probe_bool"]
-                    if test is None:
-                        test = self.make_interestingness_test(
-                            entry["finding"], replayer=replayer
-                        )
-                    shrink = shrink_add_function_payloads(
-                        result.transformations, test
-                    )
-                    result.transformations = shrink.transformations
-                    result.tests_run += shrink.tests_run
+                    replayer.stats.merge_json(pool.replay_stats_for(key))
                 results.append(
                     self._finish_reduce(
-                        entry["finding"],
-                        result,
-                        replayer,
-                        entry["started"],
-                        workers=workers,
+                        finding, result, replayer, started, workers=workers
                     )
                 )
             return results

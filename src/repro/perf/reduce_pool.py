@@ -193,22 +193,27 @@ class FindingProbeSpec:
             from repro.perf.replay_cache import CachedReplayer
 
             replayer = CachedReplayer(finding.original, finding.inputs)
+        probe = harness.make_probe_test(finding, replayer=replayer)
         if self.decide:
             from repro.robustness import find_supervised
             from repro.robustness.config import ReductionPolicy
             from repro.robustness.reduction import FlakeHardenedOracle
 
             oracle = FlakeHardenedOracle(
-                harness.make_probe_test(finding, replayer=replayer),
+                probe,
                 self.policy or ReductionPolicy(),
-                supervised_target=find_supervised(harness.targets[0]),
+                supervised_target=find_supervised(probe.target),
                 replay_stats=replayer.stats if replayer is not None else None,
             )
             return _Runner(
                 items, oracle=oracle, replayer=replayer, harness=harness
             )
-        probe = harness.make_interestingness_test(finding, replayer=replayer)
-        return _Runner(items, probe=probe, replayer=replayer, harness=harness)
+        return _Runner(
+            items,
+            probe=probe.interestingness_test(),
+            replayer=replayer,
+            harness=harness,
+        )
 
 
 def _pool_init(specs: dict) -> None:

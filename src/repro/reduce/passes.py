@@ -1,11 +1,13 @@
 """The built-in reduction passes (beyond the paper; creduce/ReduKtor-style).
 
 Pass order in :data:`DEFAULT_PASS_NAMES` leads with ddmin: its first leg is
-then byte-identical to the pre-pipeline reducer's, and since every later
-pass only removes elements or replaces them in place, the pipeline's result
-can never be *larger* than the old chain's — the monotonicity the bench
-gate checks.  Type batching and payload shrinking then work the 1-minimal
-survivors, and the module cleanup runs once the sequence has stabilised.
+then byte-identical to :func:`~repro.core.reducer.reduce_transformations`,
+and since every later pass only removes elements or replaces them in place,
+the pipeline's result can never be *larger* than the reference chain's
+(ddmin, then ``shrink_add_function_payloads``, then ``spirv_reduce``) — the
+monotonicity the bench gate checks.  Type batching and payload shrinking
+then work the 1-minimal survivors, and the module cleanup runs once the
+sequence has stabilised.
 """
 
 from __future__ import annotations

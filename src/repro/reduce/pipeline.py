@@ -118,6 +118,31 @@ class PipelineResult(ReductionResult):
         return data
 
 
+def ddmin_pipeline_result(
+    result: ReductionResult, *, ran: bool = True
+) -> PipelineResult:
+    """The :class:`PipelineResult` ``PassPipeline(["ddmin"])`` reports for a
+    bare ddmin reduction *result* — for engines driven outside the pipeline
+    (``Harness.reduce_all``'s cross-finding fleet).  *ran* is false when the
+    reduction degraded while verifying its input, before ddmin started."""
+    from dataclasses import fields
+
+    stats = PassStats("ddmin")
+    if ran:
+        stats.runs = 1
+        stats.probes = result.tests_run - 1  # all but the verify probe
+        stats.accepted = len(result.history)
+        stats.removed = result.initial_length - result.final_length
+    piped = PipelineResult(
+        **{f.name: getattr(result, f.name) for f in fields(ReductionResult)},
+        pass_stats=[stats],
+    )
+    speculation = getattr(result, "speculation", None)
+    if speculation is not None:
+        piped.speculation = speculation
+    return piped
+
+
 @dataclass
 class PipelineContext:
     """Everything a pipeline run probes through.

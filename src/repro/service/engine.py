@@ -832,7 +832,7 @@ class CampaignService:
                             campaign_id, index
                         ),
                         resume=True,
-                        passes=list(manifest.reduce_passes) or None,
+                        passes=manifest.reduce_passes or ("ddmin",),
                     )
                     reductions.append(
                         {

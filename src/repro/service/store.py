@@ -112,8 +112,8 @@ class CampaignManifest:
     #: Probe budget (None = unbounded).  Counted from worker-reported batch
     #: probe totals; exhaustion fails the campaign before the next grant.
     max_probes: int | None = None
-    #: Reduction pass names for the REDUCING phase (empty = the classic
-    #: single-pass ddmin reducer rather than the pass pipeline).
+    #: Reduction pass names for the REDUCING phase (empty = the default
+    #: ``("ddmin",)``, the paper's delta debugging).
     reduce_passes: tuple[str, ...] = ()
 
 

@@ -134,7 +134,9 @@ class TestPayloadShrinking:
 
     def test_harness_flag(self):
         harness, finding, _ = self._finding_with_add_function()
-        reduction = harness.reduce_finding(finding, shrink_function_payloads=True)
+        reduction = harness.reduce_finding(
+            finding, passes=("ddmin", "payload-shrink")
+        )
         test = harness.make_interestingness_test(finding)
         assert test(reduction.transformations)
 

@@ -9,6 +9,11 @@ import pytest
 from repro.compilers import make_targets
 from repro.core.fuzzer import FuzzerOptions
 from repro.core.harness import Harness
+from repro.core.reducer import (
+    reduce_transformations,
+    shrink_add_function_payloads,
+    spirv_reduce,
+)
 from repro.corpus import donor_programs, reference_programs
 from repro.reduce import DEFAULT_PASS_NAMES
 
@@ -30,10 +35,18 @@ class TestPipelineVsChain:
     def test_never_larger_than_the_prepipeline_chain(self, campaign):
         harness, result = campaign
         for finding in result.findings[:3]:
-            chain = harness.reduce_finding(
-                finding, shrink_function_payloads=True
+            test = harness.make_interestingness_test(finding)
+            chain = shrink_add_function_payloads(
+                reduce_transformations(finding.transformations, test)
+                .transformations,
+                test,
             )
-            cleaned = harness.spirv_cleanup(finding, chain.transformations)
+            module, module_verdict = harness.make_probe_test(
+                finding
+            ).module_probe(chain.transformations)
+            cleaned = spirv_reduce(
+                module, lambda candidate: module_verdict(candidate).interesting
+            )
             piped = harness.reduce_finding(finding, passes=DEFAULT_PASS_NAMES)
             assert len(piped.transformations) <= len(chain.transformations)
             if piped.cleaned_module is not None:
@@ -45,7 +58,6 @@ class TestPipelineVsChain:
                 )
                 assert piped_insts <= chain_insts
             # Still interesting, like any reduction.
-            test = harness.make_interestingness_test(finding)
             assert test(piped.transformations)
 
     def test_per_pass_stats_cover_the_pipeline(self, campaign):
