@@ -48,7 +48,7 @@ class ReducedTest:
     #: Tests whose verdict was flaky across reruns (see
     #: :mod:`repro.robustness.retry`), plus tests whose *reduction* was
     #: degraded or observed oracle disagreements (see
-    #: :func:`~repro.robustness.reduction.reduce_with_faults` and
+    #: :class:`~repro.robustness.reduction.FlakeHardenedOracle` and
     #: :meth:`from_reduction`).  Deduplicated separately: a flaky test must
     #: neither suppress a stable one nor be suppressed by it — their
     #: "shared type" evidence is unreliable, and a degraded (non-1-minimal)

@@ -847,51 +847,85 @@ class Harness:
 
     def _reduction_pool(
         self,
-        finding: Finding,
-        key: str,
+        findings: dict[str, Finding],
         workers: int,
         *,
         use_cache: bool,
-        decide: bool,
-        policy: "object | None" = None,
+        policy: "object | None",
     ) -> "object | None":
-        """A single-finding :class:`~repro.perf.reduce_pool.ReductionPool`,
-        or ``None`` when the finding cannot be shipped to workers (the
-        caller falls back to the serial path)."""
+        """A :class:`~repro.perf.reduce_pool.ReductionPool` with one
+        :class:`~repro.perf.reduce_pool.FindingProbeSpec` per key of
+        *findings* (decision records when a *policy* is given), or ``None``
+        when some finding cannot be shipped to workers (the caller reduces
+        inline)."""
         from repro.perf.reduce_pool import ReductionPool
 
         try:
-            spec = self.finding_probe_spec(
-                finding, use_cache=use_cache, decide=decide, policy=policy
-            )
+            specs = {
+                key: self.finding_probe_spec(
+                    finding,
+                    use_cache=use_cache,
+                    decide=policy is not None,
+                    policy=policy,
+                )
+                for key, finding in findings.items()
+            }
         except (KeyError, ValueError):
             return None
-        if not ReductionPool.shippable(spec):
+        if not all(ReductionPool.shippable(spec) for spec in specs.values()):
             return None
-        return ReductionPool({key: spec}, workers)
+        return ReductionPool(specs, workers)
 
-    def _resolve_reduction_policy(
-        self, policy: "object | None", max_seconds: float | None
-    ) -> "object":
-        from dataclasses import replace as dc_replace
-
+    def _resolve_reduction_policy(self, policy: "object | None") -> "object":
         from repro.robustness import ReductionPolicy
 
-        if policy is None:
-            return (
-                ReductionPolicy.from_robustness(
-                    self.robustness, max_seconds=max_seconds
-                )
-                if self.robustness is not None
-                else ReductionPolicy(max_seconds=max_seconds)
-            )
-        if policy.max_seconds is None and max_seconds is not None:
-            return dc_replace(policy, max_seconds=max_seconds)
-        return policy
+        if policy is not None:
+            return policy
+        if self.robustness is not None:
+            return ReductionPolicy.from_robustness(self.robustness)
+        return ReductionPolicy()
+
+    def _reduction_context(
+        self,
+        finding: Finding,
+        pipeline: "object",
+        *,
+        fault_tolerant: bool,
+        use_cache: bool,
+        pool_key: str,
+        **fields,
+    ) -> tuple:
+        """Emit ``reduce.begin`` and build the finding's
+        :class:`~repro.reduce.PipelineContext` over one
+        :class:`VerdictProbe`; *fields* are further context fields.
+        Returns ``(ctx, replayer, started)``."""
+        from repro.reduce import PipelineContext
+
+        started = self._begin_reduce(finding, pipeline, use_cache, fault_tolerant)
+        replayer = self._replayer(finding) if use_cache else None
+        probe = self.make_probe_test(finding, replayer=replayer)
+        ctx = PipelineContext(
+            pool_key=pool_key,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            module_probe=probe.module_probe,
+            **fields,
+        )
+        if fault_tolerant:
+            from repro.robustness import find_supervised
+
+            ctx.policy = self._resolve_reduction_policy(ctx.policy)
+            ctx.verdict_test = probe
+            ctx.supervised_target = find_supervised(probe.target)
+            ctx.replay_stats = replayer.stats if replayer is not None else None
+        else:
+            ctx.is_interesting = probe.interestingness_test()
+        return ctx, replayer, started
 
     def _finish_reduce(
         self,
         finding: Finding,
+        ctx: "object",
         result: ReductionResult,
         replayer: "object | None",
         started: float,
@@ -901,6 +935,10 @@ class Harness:
         """Shared reduction epilogue: stats attachment, metrics, and the
         ``reduce.end`` event (with speculation accounting when parallel)."""
         if replayer is not None:
+            if ctx.pool is not None:
+                # Worker replay counters fold into the parent's registry over
+                # the same drain/merge path campaign metrics use.
+                replayer.stats.merge_json(ctx.pool.replay_stats_for(ctx.pool_key))
             result.replay_stats = replayer.stats
         elapsed = time.perf_counter() - started
         self.metrics.inc("reductions")
@@ -911,7 +949,7 @@ class Harness:
         if cache is not None:
             for field_name, value in cache.items():
                 self.metrics.inc(f"replay.{field_name}", value)
-        speculation = getattr(result, "speculation", None)
+        speculation = result.speculation
         extra: dict = {}
         # Inline (serial) ddmin legs carry zero-speculation stats too.
         if speculation is not None and speculation.mode == "pool":
@@ -976,7 +1014,8 @@ class Harness:
 
         ``max_seconds`` bounds the whole reduction's wall clock (the result is
         still a valid interesting subsequence, just not necessarily 1-minimal;
-        ``ReductionResult.timed_out`` is set).
+        ``ReductionResult.timed_out`` is set); without it a *policy*'s
+        ``max_seconds`` applies.
 
         The **fault envelope** (a :class:`~repro.robustness.reduction.
         FlakeHardenedOracle` per pass) engages whenever the harness
@@ -988,7 +1027,7 @@ class Harness:
         returns the same reduced sequence as the plain path; under faults or
         flaky verdicts it retries, votes, degrades to best-so-far, and — with
         a journal — survives ``SIGKILL``.  Supervised probes are clamped to
-        the remaining ``max_seconds`` budget, so reduction cannot hang on a
+        the remaining reduction budget, so reduction cannot hang on a
         target that stops answering.
 
         ``workers > 1`` probes ddmin candidates **speculatively in
@@ -1001,11 +1040,10 @@ class Harness:
         speculation ramp (default ``workers * 4``).  A finding whose probe
         cannot be rebuilt in a worker silently falls back to the serial
         path.  ``probe_batch > 1`` ships that many speculation candidates
-        per worker round-trip on the plain path, amortizing IPC; the fault
-        envelope keeps one candidate per trip — its retry and budget
-        bookkeeping is per-probe.
+        per worker round-trip, amortizing IPC, with or without the fault
+        envelope: a batch carries one decision per candidate.
         """
-        from repro.reduce import DEFAULT_GIVEUP, PassPipeline, PipelineContext
+        from repro.reduce import DEFAULT_GIVEUP, PassPipeline
 
         fault_tolerant = (
             policy is not None
@@ -1016,58 +1054,35 @@ class Harness:
         pipeline = PassPipeline(
             passes, giveup=DEFAULT_GIVEUP if giveup is None else giveup
         )
-        started = self._begin_reduce(finding, pipeline, use_cache, fault_tolerant)
-        replayer = self._replayer(finding) if use_cache else None
-        probe = self.make_probe_test(finding, replayer=replayer)
-        ctx = PipelineContext(
+        ctx, replayer, started = self._reduction_context(
+            finding,
+            pipeline,
+            fault_tolerant=fault_tolerant,
+            use_cache=use_cache,
             pool_key="finding",
             window=window,
             probe_batch=probe_batch,
             max_seconds=max_seconds,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            module_probe=probe.module_probe,
+            policy=policy,
+            journal=journal,
+            resume=resume,
         )
-        pool_policy = None
-        if fault_tolerant:
-            from dataclasses import replace as dc_replace
-
-            from repro.robustness import find_supervised
-
-            ctx.policy = self._resolve_reduction_policy(policy, max_seconds)
-            ctx.max_seconds = ctx.policy.max_seconds
-            ctx.verdict_test = probe
-            ctx.journal = journal
-            ctx.resume = resume
-            ctx.supervised_target = find_supervised(probe.target)
-            ctx.replay_stats = replayer.stats if replayer is not None else None
-            # Workers decide single candidates; the wall-clock budget stays
-            # with the parent (deadline-bounded commit loop).
-            pool_policy = dc_replace(ctx.policy, max_seconds=None)
-        else:
-            ctx.is_interesting = probe.interestingness_test()
         try:
             if workers is not None and workers > 1:
                 ctx.pool = self._reduction_pool(
-                    finding,
-                    ctx.pool_key,
+                    {ctx.pool_key: finding},
                     workers,
                     use_cache=use_cache,
-                    decide=fault_tolerant,
-                    policy=pool_policy,
+                    policy=ctx.policy,
                 )
                 if ctx.pool is not None:
                     ctx.workers = workers
             result = pipeline.run(finding.transformations, ctx)
-            if ctx.pool is not None and replayer is not None:
-                # Worker replay counters fold into the parent's registry over
-                # the same drain/merge path campaign metrics use.
-                replayer.stats.merge_json(ctx.pool.replay_stats_for(ctx.pool_key))
         finally:
             if ctx.pool is not None:
                 ctx.pool.close()
         return self._finish_reduce(
-            finding, result, replayer, started, workers=workers
+            finding, ctx, result, replayer, started, workers=workers
         )
 
     def _begin_reduce(
@@ -1116,26 +1131,30 @@ class Harness:
         With the default ``("ddmin",)`` pass list and ``workers > 1`` the
         findings reduce **concurrently over one shared worker pool** with
         fair (round-robin) candidate scheduling, so a stubborn reduction
-        cannot starve the others.  Otherwise — other passes, ``workers=1``,
-        or a finding set that cannot be shipped to workers — this is a loop
-        over :meth:`reduce_finding`, whose ddmin legs still use a
-        per-finding worker pool when ``workers > 1``.
+        cannot starve the others (:meth:`~repro.reduce.PassPipeline.
+        run_fleet`).  Otherwise — other passes, ``workers=1``, or a finding
+        set that cannot be shipped to workers — this is a loop over
+        :meth:`reduce_finding`, whose ddmin legs still use a per-finding
+        worker pool when ``workers > 1``.
         """
         from repro.perf.parallel import default_worker_count
-        from repro.reduce import DdminPass, PassPipeline
+        from repro.reduce import DEFAULT_GIVEUP, DdminPass, PassPipeline
 
         findings = list(findings)
         if workers is None or workers <= 0:
             workers = default_worker_count()
-        resolved = PassPipeline(passes).passes
+        pipeline = PassPipeline(
+            passes, giveup=DEFAULT_GIVEUP if giveup is None else giveup
+        )
         if (
             findings
             and workers > 1
-            and len(resolved) == 1
-            and isinstance(resolved[0], DdminPass)
+            and len(pipeline.passes) == 1
+            and isinstance(pipeline.passes[0], DdminPass)
         ):
             fleet = self._reduce_fleet(
                 findings,
+                pipeline,
                 workers,
                 window=window,
                 use_cache=use_cache,
@@ -1163,6 +1182,7 @@ class Harness:
     def _reduce_fleet(
         self,
         findings: list[Finding],
+        pipeline: "object",
         workers: int,
         *,
         window: int | None,
@@ -1172,97 +1192,46 @@ class Harness:
         probe_batch: int | None,
     ) -> list[ReductionResult] | None:
         """:meth:`reduce_all`'s cross-finding fleet: every finding's ddmin
-        over one shared :class:`~repro.perf.reduce_pool.ReductionPool`.
-        ``None`` when some finding's probe cannot be shipped to workers."""
-        from dataclasses import replace as dc_replace
-
-        from repro.perf.parallel_reduce import (
-            SpeculativePlainReduction,
-            run_sessions,
-        )
-        from repro.perf.reduce_pool import ReductionPool
-        from repro.reduce import PassPipeline
-        from repro.reduce.pipeline import ddmin_pipeline_result
-        from repro.robustness import find_supervised
-        from repro.robustness.reduction import SpeculativeFaultReduction
-
+        leg over one shared :class:`~repro.perf.reduce_pool.ReductionPool`,
+        each finished like :meth:`reduce_finding`.  ``None`` when some
+        finding's probe cannot be shipped to workers."""
         fault_tolerant = policy is not None or self.robustness is not None
-        pool_policy = None
         if fault_tolerant:
-            policy = self._resolve_reduction_policy(policy, max_seconds)
-            pool_policy = dc_replace(policy, max_seconds=None)
+            policy = self._resolve_reduction_policy(policy)
+        keyed = {f"finding-{index}": f for index, f in enumerate(findings)}
+        pool = self._reduction_pool(
+            keyed, workers, use_cache=use_cache, policy=policy
+        )
+        if pool is None:
+            return None
+        jobs = []
         try:
-            specs = {
-                f"finding-{index}": self.finding_probe_spec(
+            for key, finding in keyed.items():
+                ctx, replayer, started = self._reduction_context(
                     finding,
+                    pipeline,
+                    fault_tolerant=fault_tolerant,
                     use_cache=use_cache,
-                    decide=fault_tolerant,
-                    policy=pool_policy,
+                    pool_key=key,
+                    window=window,
+                    probe_batch=probe_batch,
+                    max_seconds=max_seconds,
+                    policy=policy,
+                    pool=pool,
+                    workers=workers,
                 )
-                for index, finding in enumerate(findings)
-            }
-        except (KeyError, ValueError):
-            return None
-        if not all(ReductionPool.shippable(spec) for spec in specs.values()):
-            return None
-
-        pipeline = PassPipeline(["ddmin"])
-        pool = ReductionPool(specs, workers)
-        entries = []
-        try:
-            for key, finding in zip(specs, findings):
-                started = self._begin_reduce(
-                    finding, pipeline, use_cache, fault_tolerant
-                )
-                replayer = self._replayer(finding) if use_cache else None
-                if fault_tolerant:
-                    probe = self.make_probe_test(finding, replayer=replayer)
-                    reduction = SpeculativeFaultReduction(
-                        finding.transformations,
-                        probe,
-                        policy,
-                        supervised_target=find_supervised(probe.target),
-                        tracer=self.tracer,
-                        metrics=self.metrics,
-                        replay_stats=(
-                            replayer.stats if replayer is not None else None
-                        ),
-                        workers=workers,
-                        window=window,
-                        pool_key=key,
-                    )
-                else:
-                    reduction = SpeculativePlainReduction(
-                        finding.transformations,
-                        pool=pool,
-                        pool_key=key,
-                        workers=workers,
-                        window=window,
-                        max_seconds=max_seconds,
-                        tracer=self.tracer,
-                    )
-                entries.append((finding, key, started, replayer, reduction))
-            run_sessions(
-                pool,
-                [entry[-1].session for entry in entries if entry[-1].session],
-                batch=probe_batch or 1,
-                metrics=self.metrics,
+                jobs.append((finding, ctx, replayer, started))
+            results = pipeline.run_fleet(
+                [(finding.transformations, ctx) for finding, ctx, _, _ in jobs]
             )
-            results = []
-            for finding, key, started, replayer, reduction in entries:
-                result = ddmin_pipeline_result(
-                    reduction.finalize(), ran=reduction.session is not None
-                )
-                if replayer is not None:
-                    replayer.stats.merge_json(pool.replay_stats_for(key))
-                results.append(
-                    self._finish_reduce(
-                        finding, result, replayer, started, workers=workers
-                    )
-                )
-            return results
         finally:
             pool.close()
+        return [
+            self._finish_reduce(
+                finding, ctx, result, replayer, started, workers=workers
+            )
+            for (finding, ctx, replayer, started), result in zip(jobs, results)
+        ]
 
     def reduced_variant(
         self, finding: Finding, reduction: ReductionResult

@@ -49,8 +49,7 @@ class ReductionResult:
     #: Structured reason when the fault-tolerant pipeline could not run to
     #: completion (``"budget-exhausted"``, ``"target-unresponsive"``,
     #: ``"verify-faulted"``, ``"oracle-error: ..."``); ``None`` for a clean,
-    #: 1-minimal reduction.  See :func:`repro.robustness.reduction.
-    #: reduce_with_faults`.
+    #: 1-minimal reduction.  See :mod:`repro.robustness.reduction`.
     degraded: str | None = None
     #: Flakiness/fault accounting from the flake-hardened oracle (the JSON
     #: form of :class:`repro.robustness.reduction.OracleStability`); ``None``
@@ -129,9 +128,9 @@ def reduce_transformations(
     **Contract**: the deadline is checked *between* candidates only — the
     reducer never interrupts ``is_interesting`` mid-probe, so a single call
     that hangs overshoots ``max_seconds`` by however long the probe takes.
-    Callers who need a hard bound must bound the probe itself; the
-    fault-tolerant pipeline (:func:`repro.robustness.reduction.
-    reduce_with_faults`) does exactly that by clamping each supervised
+    Callers who need a hard bound must bound the probe itself; the pass
+    pipeline's fault envelope (:class:`repro.robustness.reduction.
+    FlakeHardenedOracle`) does exactly that by clamping each supervised
     probe's timeout to ``min(probe_timeout, remaining budget)``.
 
     ``tracer`` (a :class:`~repro.observability.Tracer`, path, or ``None``)

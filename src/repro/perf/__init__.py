@@ -24,12 +24,7 @@ from repro.perf.parallel import (
     default_worker_count,
     spec_names_for,
 )
-from repro.perf.parallel_reduce import (
-    ParallelReductionResult,
-    SpeculationStats,
-    SpeculativeReduction,
-    parallel_reduce,
-)
+from repro.perf.parallel_reduce import SpeculationStats, SpeculativeReduction
 from repro.perf.probe_cache import (
     CachedOptimizer,
     CachingTarget,
@@ -53,7 +48,6 @@ __all__ = [
     "CampaignSpec",
     "FindingProbeSpec",
     "ParallelExecutor",
-    "ParallelReductionResult",
     "ProbeBatch",
     "ProbeCache",
     "ProbeCacheStats",
@@ -63,6 +57,5 @@ __all__ = [
     "SpeculativeReduction",
     "WorkerProbeError",
     "default_worker_count",
-    "parallel_reduce",
     "spec_names_for",
 ]

@@ -14,7 +14,7 @@ This module keeps the serial reducer's exact semantics under a
 1. Candidates are generated along the *all-reject trajectory* — the exact
    stream :func:`~repro.core.reducer.reduce_transformations` would probe if
    every pending verdict came back "not interesting".  A window of them is
-   dispatched to persistent worker processes.
+   dispatched to an executor.
 2. Verdicts are **committed strictly in serial scan order**, no matter in
    which order workers finish.  A committed rejection keeps the trajectory
    valid; a committed acceptance invalidates every speculative verdict and
@@ -23,15 +23,20 @@ This module keeps the serial reducer's exact semantics under a
 3. The committed ``(candidate, verdict)`` stream therefore equals the
    serial reducer's stream **exactly**, so ``transformations``,
    ``tests_run``, ``chunks_removed``, and the accepted-chunk ``history``
-   are byte-identical to the serial result for every worker count —
-   including ``workers=1``, which never builds a pool.
+   are byte-identical to the serial result for every worker count.
+
+:func:`run_sessions` is the one loop that drives engines.  Its executor is
+a :class:`~repro.perf.reduce_pool.ReductionPool` of worker processes, or —
+for one worker — the in-process :class:`~repro.perf.reduce_pool.InlinePool`
+with capacity 1, which is the serial reducer.  The pass pipeline
+(:mod:`repro.reduce.pipeline`) runs every ddmin leg this way.
 
 The speculation window ramps adaptively — small after an acceptance (where
 speculation is likely wasted), doubling while rejections commit (where the
 all-reject assumption is holding) — and the ramp is a function of the
 committed verdict stream only, never of timing, so results stay
 deterministic.  Byte-identity is guaranteed for deterministic oracles; a
-run cut short by ``max_seconds`` or a genuinely flaky oracle is
+run cut short by a deadline or a genuinely flaky oracle is
 timing-dependent in the serial reducer already.
 """
 
@@ -39,10 +44,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.reducer import InterestingnessTest, ReductionResult
 from repro.observability import as_tracer
 
 
@@ -50,7 +54,7 @@ from repro.observability import as_tracer
 class SpeculationStats:
     """Work accounting for one speculative reduction."""
 
-    dispatched: int = 0  #: probes sent to workers (or run inline)
+    dispatched: int = 0  #: probes sent to the executor
     committed: int = 0  #: candidate decisions committed in serial order
     wasted: int = 0  #: dispatched probes discarded by an earlier acceptance
     memo_short_circuits: int = 0  #: candidates resolved from the parent memo
@@ -59,7 +63,7 @@ class SpeculationStats:
     max_in_flight: int = 0  #: peak concurrently outstanding probes
     worker_recoveries: int = 0  #: pool rebuilds after a worker died hard
     workers: int = 1  #: worker processes backing the reduction
-    mode: str = "inline"  #: "inline" (no pool) or "pool"
+    mode: str = "inline"  #: "inline" (in-process executor) or "pool"
 
     @property
     def wasted_percent(self) -> float:
@@ -83,21 +87,13 @@ class SpeculationStats:
         }
 
 
-@dataclass
-class ParallelReductionResult(ReductionResult):
-    """A :class:`~repro.core.reducer.ReductionResult` plus speculation
-    accounting.  ``to_json`` is inherited unchanged — ``speculation`` is
-    observational, like ``replay_stats``, so parallel and serial results
-    compare byte-identical."""
-
-    speculation: SpeculationStats | None = None
-
-
 class _Candidate:
     """One generated candidate: its position in the serial commit order plus
-    the index tuple (into the original sequence) that materialises it."""
+    the index tuple (into the engine's sequence) that materialises it.
+    ``key`` is free for the hooks: the fault oracle stores the candidate's
+    content key there at lookup so its commit does not recompute it."""
 
-    __slots__ = ("sid", "chunk", "start", "end", "indices")
+    __slots__ = ("sid", "chunk", "start", "end", "indices", "key")
 
     def __init__(
         self, sid: int, chunk: int, start: int, end: int, indices: tuple[int, ...]
@@ -107,6 +103,7 @@ class _Candidate:
         self.start = start
         self.end = end
         self.indices = indices
+        self.key: str | None = None
 
 
 def _trajectory(
@@ -145,17 +142,19 @@ class SpeculativeReduction:
     """The speculative engine for one reduction.
 
     The engine owns the trajectory, the dispatch window, and the commit
-    protocol; it is driven from outside (inline or by :func:`run_sessions`)
-    through three calls: :meth:`take_dispatch` (candidates needing probes),
-    :meth:`deliver` (a probe verdict arrived), and :meth:`commit_ready`
-    (commit every verdict at the serial frontier).
+    protocol; :func:`run_sessions` drives it through three calls:
+    :meth:`take_dispatch` (candidates needing probes), :meth:`deliver` (a
+    probe verdict arrived), and :meth:`commit_ready` (commit every verdict
+    at the serial frontier).
 
     *lookup* (optional) resolves a candidate without dispatching — the
     journal-resume short-circuit.  It must be **read-only**: speculative
-    candidates may never commit, so all bookkeeping belongs in *on_commit*,
+    candidates may never commit, so all bookkeeping belongs in *on_commit*
+    (called as ``on_commit(items, candidate, verdict, record, source)``),
     which observes the committed serial-order stream exactly as a serial
     oracle would and may veto/correct the verdict (memo semantics) or raise
-    to abort the reduction.
+    to abort the reduction.  A commit that raises still counts in
+    ``tests_run``: the decision was made.
     """
 
     def __init__(
@@ -164,9 +163,8 @@ class SpeculativeReduction:
         *,
         window: int = 8,
         lookup: Callable[[list, "_Candidate"], tuple | None] | None = None,
-        on_commit: Callable[[list, bool, dict | None, str], bool] | None = None,
+        on_commit: Callable[..., bool] | None = None,
         tracer: Any = None,
-        deadline: float | None = None,
     ) -> None:
         self.items = list(items)
         length = len(self.items)
@@ -176,7 +174,6 @@ class SpeculativeReduction:
         self.lookup = lookup
         self.on_commit = on_commit
         self.tracer = as_tracer(tracer)
-        self.deadline = deadline
         self.stats = SpeculationStats()
         self.tests_run = 0
         self.chunks_removed = 0
@@ -227,11 +224,15 @@ class SpeculativeReduction:
     def take_dispatch(self, limit: int) -> list["_Candidate"]:
         """Up to *limit* candidates that need a real probe, respecting the
         adaptive window; memo/lookup-resolvable candidates are resolved on
-        the spot (they cost nothing) and never count against the window."""
+        the spot (they cost nothing) and never count against the window.
+        A window of 1 is the serial reducer: one candidate at a time, each
+        committed before the next is generated."""
         out: list[_Candidate] = []
         if self._finished:
             return out
         while len(out) < limit and len(self._outstanding) + len(out) < self._ramp:
+            if self.window == 1 and self._resolved:
+                break  # no speculation: nothing past the commit frontier
             candidate = self._pending.popleft() if self._pending else self._generate()
             if candidate is None:
                 break
@@ -287,9 +288,10 @@ class SpeculativeReduction:
         while not self._finished and self._commit_sid in self._resolved:
             candidate, verdict, record, source = self._resolved.pop(self._commit_sid)
             self._commit_sid += 1
+            self.tests_run += 1
             if self.on_commit is not None:
                 verdict = self.on_commit(
-                    self.materialize(candidate), verdict, record, source
+                    self.materialize(candidate), candidate, verdict, record, source
                 )
             self._commit(candidate, verdict)
             progressed = True
@@ -320,17 +322,6 @@ class SpeculativeReduction:
         while self._round_index < len(self._ladder):
             self._flush_round()
 
-    def result(self, *, verify_tests: int = 0) -> ParallelReductionResult:
-        return ParallelReductionResult(
-            transformations=[self.items[i] for i in self.current],
-            tests_run=self.tests_run + verify_tests,
-            chunks_removed=self.chunks_removed,
-            initial_length=self.initial_length,
-            timed_out=self.timed_out,
-            history=list(self.history),
-            speculation=self.stats,
-        )
-
     # -- internals ---------------------------------------------------------------
 
     def _generate(self) -> "_Candidate | None":
@@ -344,7 +335,6 @@ class SpeculativeReduction:
 
     def _commit(self, candidate: "_Candidate", verdict: bool) -> None:
         self._sync_round(candidate.chunk)
-        self.tests_run += 1
         self.stats.committed += 1
         self._round_tried += 1
         self._memo[candidate.indices] = verdict
@@ -406,8 +396,10 @@ class SpeculativeReduction:
 class SpeculativeSession:
     """One engine bound to a pool key, driven by :func:`run_sessions`.
 
-    *decide* sessions carry fault-pipeline decision records (the worker ran
-    a full flake-hardened decision); plain sessions carry booleans.
+    Pools rebuild the sequence their spec was built from; *positions* maps
+    the engine's sequence onto it (``positions[i]`` is the spec index of
+    engine item ``i``; ``None`` when they coincide).  Replies carry a
+    fault-pipeline decision record (a dict) or a plain boolean verdict.
     """
 
     def __init__(
@@ -415,12 +407,12 @@ class SpeculativeSession:
         key: str,
         engine: SpeculativeReduction,
         *,
-        decide: bool = False,
+        positions: Sequence[int] | None = None,
         deadline: float | None = None,
     ) -> None:
         self.key = key
         self.engine = engine
-        self.decide = decide
+        self.positions = positions
         self.deadline = deadline
         self.error: BaseException | None = None
 
@@ -428,32 +420,28 @@ class SpeculativeSession:
     def active(self) -> bool:
         return self.error is None and not self.engine.done
 
+    def wire(self, candidate: "_Candidate") -> tuple[int, ...]:
+        """*candidate*'s index tuple as the pool's spec numbers it."""
+        if self.positions is None:
+            return candidate.indices
+        return tuple(self.positions[i] for i in candidate.indices)
+
     def deliver(self, candidate: "_Candidate", payload: tuple) -> None:
-        status = payload[0]
-        if status == "ok":
-            value = payload[1]
-            if self.decide:
-                self.engine.deliver(
-                    candidate.sid, bool(value.get("verdict")), value, "pool"
-                )
-            else:
-                self.engine.deliver(candidate.sid, bool(value))
-        elif status == "aborted":
-            # Represented as a record so the abort surfaces at *commit* time,
-            # in serial order — a speculative abort that an earlier acceptance
-            # invalidates must not kill the reduction.
-            self.engine.deliver(
-                candidate.sid, False, {"aborted": (payload[1], payload[2])}, "pool"
-            )
-        else:
+        if payload[0] != "ok":
             from repro.perf.reduce_pool import WorkerProbeError
 
             self.error = WorkerProbeError(payload[1], payload[2])
+            return
+        value = payload[1]
+        if isinstance(value, dict):
+            self.engine.deliver(candidate.sid, bool(value.get("verdict")), value)
+        else:
+            self.engine.deliver(candidate.sid, bool(value))
 
     def commit(self) -> None:
         try:
             self.engine.commit_ready()
-        except Exception as exc:  # noqa: BLE001 - surfaced via finalize()
+        except Exception as exc:  # noqa: BLE001 - the session's owner re-raises
             self.error = exc
 
 
@@ -464,8 +452,12 @@ def run_sessions(
     batch: int = 1,
     metrics: Any = None,
 ) -> None:
-    """Drive *sessions* over one shared :class:`~repro.perf.reduce_pool.
-    ReductionPool` until every engine finishes (or errors out).
+    """Drive *sessions* over one shared executor — a :class:`~repro.perf.
+    reduce_pool.ReductionPool` or an :class:`~repro.perf.reduce_pool.
+    InlinePool` — until every engine finishes or errors out.  An error
+    (the oracle's own exception, a :class:`~repro.perf.reduce_pool.
+    WorkerProbeError`, or a commit hook's abort) lands on ``session.error``
+    for the session's owner to raise; other sessions carry on.
 
     Fairness: dispatch rotates round-robin across active sessions, one
     submission per turn, so a large reduction cannot starve a small one.
@@ -495,7 +487,7 @@ def run_sessions(
                 if session.active and session.engine.is_outstanding(
                     candidate.sid
                 ):
-                    futures[pool.submit(session.key, candidate.indices)] = (
+                    futures[pool.submit(session.key, session.wire(candidate))] = (
                         session,
                         [candidate],
                     )
@@ -505,13 +497,11 @@ def run_sessions(
 
     def do_submit(session: SpeculativeSession, candidates: list[_Candidate]):
         if len(candidates) == 1:
-            return pool.submit(session.key, candidates[0].indices)
+            return pool.submit(session.key, session.wire(candidates[0]))
         if metrics is not None:
             metrics.inc("probe_batch.batches")
             metrics.inc("probe_batch.probes", len(candidates))
-        return pool.submit_batch(
-            session.key, [c.indices for c in candidates]
-        )
+        return pool.submit_batch(session.key, [session.wire(c) for c in candidates])
 
     def submit(session: SpeculativeSession, candidates: list[_Candidate]) -> None:
         try:
@@ -586,7 +576,7 @@ def run_sessions(
                 recover()
                 broken = True
                 break
-            except Exception as exc:  # noqa: BLE001 - surfaced via finalize()
+            except Exception as exc:  # noqa: BLE001 - the session's owner re-raises
                 session.error = exc
                 continue
             if payload[0] == "batch":
@@ -609,155 +599,3 @@ def run_sessions(
     for session in sessions:
         if session.error is None:
             session.engine.finalize()
-
-
-class SpeculativePlainReduction:
-    """Plain-mode wrapper: verify through the pool, then hand a session to
-    :func:`run_sessions`, then finalize.  The fault-pipeline counterpart is
-    :class:`repro.robustness.reduction.SpeculativeFaultReduction`."""
-
-    def __init__(
-        self,
-        items: Sequence,
-        *,
-        pool: Any,
-        pool_key: str,
-        workers: int,
-        window: int | None = None,
-        verify_input: bool = True,
-        max_seconds: float | None = None,
-        tracer: Any = None,
-    ) -> None:
-        self._verify_tests = 0
-        items = list(items)
-        deadline = (
-            None if max_seconds is None else time.monotonic() + max_seconds
-        )
-        if verify_input:
-            self._verify_tests = 1
-            payload = pool.submit(pool_key, tuple(range(len(items)))).result()
-            stats_delta = payload[3] if len(payload) > 3 else None
-            if stats_delta:
-                pool.absorb(pool_key, stats_delta)
-            if payload[0] != "ok":
-                from repro.perf.reduce_pool import WorkerProbeError
-
-                raise WorkerProbeError(payload[1], payload[2])
-            if not payload[1]:
-                raise ValueError(
-                    "the full transformation sequence is not interesting"
-                )
-        engine = SpeculativeReduction(
-            items,
-            window=window if window is not None else max(1, workers) * 4,
-            tracer=tracer,
-            deadline=deadline,
-        )
-        engine.stats.workers = workers
-        engine.stats.mode = "pool"
-        self.session = SpeculativeSession(pool_key, engine, deadline=deadline)
-
-    def finalize(self) -> ParallelReductionResult:
-        if self.session.error is not None:
-            raise self.session.error
-        return self.session.engine.result(verify_tests=self._verify_tests)
-
-
-def _inline_reduce(
-    items: list,
-    is_interesting: InterestingnessTest,
-    *,
-    verify_input: bool,
-    max_seconds: float | None,
-    tracer: Any,
-) -> ParallelReductionResult:
-    """The zero-speculation path (``workers=1`` or an unshippable oracle):
-    the engine runs lazily, one candidate at a time, exactly like the serial
-    loop — no pool, no waste."""
-    verify_tests = 0
-    if verify_input:
-        verify_tests = 1
-        if not is_interesting(list(items)):
-            raise ValueError("the full transformation sequence is not interesting")
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    engine = SpeculativeReduction(items, window=1, tracer=tracer, deadline=deadline)
-    while not engine.done:
-        if deadline is not None and time.monotonic() >= deadline:
-            engine.finish_timed_out()
-            break
-        for candidate in engine.take_dispatch(1):
-            engine.deliver(candidate.sid, bool(is_interesting(engine.materialize(candidate))))
-        engine.commit_ready()
-    engine.finalize()
-    return engine.result(verify_tests=verify_tests)
-
-
-def parallel_reduce(
-    transformations: Sequence,
-    is_interesting: InterestingnessTest | None = None,
-    *,
-    workers: int | None = None,
-    window: int | None = None,
-    verify_input: bool = True,
-    max_seconds: float | None = None,
-    tracer: Any = None,
-    spec: Any = None,
-    pool: Any = None,
-    pool_key: str = "reduction",
-    batch: int | None = None,
-    metrics: Any = None,
-) -> ParallelReductionResult:
-    """Delta-debug *transformations* with speculative parallel probing.
-
-    Byte-identical to :func:`~repro.core.reducer.reduce_transformations` for
-    the same (deterministic) oracle at every worker count; see the module
-    docstring for why.  ``workers=1`` never builds a pool.  With a pool, the
-    oracle runs inside worker processes: pass *spec* (any object with a
-    ``build()`` returning a probe runner — see :mod:`repro.perf.reduce_pool`)
-    or rely on the default :class:`~repro.perf.reduce_pool.CallableProbeSpec`
-    around *is_interesting*.  An oracle that cannot be shipped to workers
-    (unpicklable, no ``fork``) silently falls back to the inline path.
-    """
-    from repro.perf.parallel import default_worker_count
-    from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
-
-    items = list(transformations)
-    if workers is None or workers <= 0:
-        workers = default_worker_count()
-    owns_pool = False
-    if pool is None and workers > 1:
-        if spec is None:
-            if is_interesting is None:
-                raise TypeError("parallel_reduce needs is_interesting or spec/pool")
-            spec = CallableProbeSpec(test=is_interesting, items=tuple(items))
-        if ReductionPool.shippable(spec):
-            pool = ReductionPool({pool_key: spec}, workers)
-            owns_pool = True
-    if pool is None:
-        if is_interesting is None:
-            raise TypeError("the inline path needs is_interesting")
-        return _inline_reduce(
-            items,
-            is_interesting,
-            verify_input=verify_input,
-            max_seconds=max_seconds,
-            tracer=tracer,
-        )
-    try:
-        reduction = SpeculativePlainReduction(
-            items,
-            pool=pool,
-            pool_key=pool_key,
-            workers=workers,
-            window=window,
-            verify_input=verify_input,
-            max_seconds=max_seconds,
-            tracer=tracer,
-        )
-        run_sessions(
-            pool, [reduction.session], batch=batch or 1, metrics=metrics
-        )
-        return reduction.finalize()
-    finally:
-        if owns_pool:
-            pool.close()

@@ -1,4 +1,4 @@
-"""Persistent probe workers for speculative parallel reduction.
+"""Probe executors for speculative reduction: worker processes, or inline.
 
 A :class:`ReductionPool` owns one ``ProcessPoolExecutor`` whose workers are
 primed (via the initializer) with *probe specs*: picklable-or-inheritable
@@ -22,15 +22,18 @@ Two spec flavours:
   deterministic factories the parent used, so worker verdicts are identical
   to parent verdicts.
 
-Worker replies are plain tuples — ``("ok", verdict-or-record, None, stats)``,
-``("aborted", reason, detail, stats)`` or ``("error", type, message,
-stats)`` — because exceptions like :class:`~repro.robustness.reduction.
-ReductionAborted` do not round-trip through pickling; the engine re-raises
-at *commit* time so a speculative abort that never commits cannot kill a
-reduction.  ``stats`` is the drained :class:`~repro.perf.replay_cache.
-ReplayStats` delta since the previous reply, merged parent-side through
-:meth:`ReductionPool.absorb` — the same drain/merge discipline the campaign
-shard path uses for metrics.
+Worker replies are plain tuples — ``("ok", verdict-or-record, None,
+stats)`` or ``("error", type, message, stats)`` — because arbitrary
+exceptions do not round-trip through pickling.  A flake-hardened decision
+that gave up on the target is an ``"ok"`` record carrying ``"aborted"``;
+the parent oracle raises it at *commit* time, so a speculative abort that
+never commits cannot kill a reduction.  ``stats`` is the drained
+:class:`~repro.perf.replay_cache.ReplayStats` delta since the previous
+reply, merged parent-side through :meth:`ReductionPool.absorb` — the same
+drain/merge discipline the campaign shard path uses for metrics.
+
+:class:`InlinePool` is the one-worker executor: the same ``submit`` /
+``capacity`` surface over a :class:`_Runner` in the calling process.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import json
 import multiprocessing
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -86,8 +89,7 @@ class _Runner:
     def evaluate(self, indices: tuple[int, ...]):
         candidate = [self.items[i] for i in indices]
         if self.oracle is not None:
-            _, record = self.oracle._decide(candidate)
-            return record
+            return self.oracle._decide(candidate)
         return bool(self.probe(candidate))
 
     def drain_stats(self) -> dict | None:
@@ -230,15 +232,11 @@ def _runner_for(key: str) -> _Runner:
 
 
 def _pool_eval(key: str, indices: tuple[int, ...]) -> tuple:
-    from repro.robustness.reduction import ReductionAborted
-
     runner = None
     try:
         runner = _runner_for(key)
         value = runner.evaluate(indices)
         return ("ok", value, None, runner.drain_stats())
-    except ReductionAborted as abort:
-        return ("aborted", abort.reason, abort.detail, runner.drain_stats())
     except Exception as exc:  # noqa: BLE001 - marshalled, re-raised at commit
         stats = runner.drain_stats() if runner is not None else None
         return ("error", type(exc).__name__, str(exc), stats)
@@ -251,20 +249,43 @@ def _pool_eval_batch(key: str, batch: list[tuple[int, ...]]) -> tuple:
     does not poison the others — and the replay-stats delta is drained once
     for the whole batch.
     """
-    from repro.robustness.reduction import ReductionAborted
-
     results = []
     runner = None
     for indices in batch:
         try:
             runner = _runner_for(key)
             results.append(("ok", runner.evaluate(indices), None))
-        except ReductionAborted as abort:
-            results.append(("aborted", abort.reason, abort.detail))
         except Exception as exc:  # noqa: BLE001 - re-raised at commit
             results.append(("error", type(exc).__name__, str(exc)))
     stats = runner.drain_stats() if runner is not None else None
     return ("batch", results, stats)
+
+
+class InlinePool:
+    """The one-worker executor: :class:`ReductionPool`'s ``submit`` /
+    ``capacity`` surface over one in-process :class:`_Runner` — a plain
+    *probe* or a flake-hardened *oracle* deciding over *items*.
+
+    ``submit`` evaluates at once and returns a finished future.  An oracle
+    exception is set on the future as it is, not marshalled, so the
+    reduction re-raises the oracle's own exception.
+    """
+
+    workers = 1
+    capacity = 1
+
+    def __init__(
+        self, items: Sequence, *, probe: Callable | None = None, oracle: Any = None
+    ) -> None:
+        self.runner = _Runner(items, probe=probe, oracle=oracle)
+
+    def submit(self, key: str, indices: tuple[int, ...]) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(("ok", self.runner.evaluate(indices), None, None))
+        except Exception as exc:  # noqa: BLE001 - re-raised by the session's owner
+            future.set_exception(exc)
+        return future
 
 
 class ReductionPool:

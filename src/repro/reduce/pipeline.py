@@ -32,16 +32,24 @@ the transformation-sequence reducer:
   so passes never collide and a SIGKILL'd pipeline resumes byte-identically
   mid-pass.  A pipeline-config record after the header pins the pass list
   and budget; resuming with a different configuration raises ``ValueError``.
-* **Parallelism** — ddmin legs run on the speculative parallel engine.  A
-  harness-built probe pool rebuilds the *original* finding sequence in its
-  workers, so candidate index tuples are re-based through the pipeline's
-  positions map (:class:`_IndexMappedPool`); once a pass has *mutated* an
-  element in place (payload shrinking) the map is void and later ddmin legs
-  run serially — cheap, because they happen after the big first leg.
+* **One ddmin executor** — every ddmin leg, plain or fault-tolerant, at
+  any worker count, is a :class:`~repro.perf.parallel_reduce.
+  SpeculativeReduction` session driven by :func:`~repro.perf.parallel_reduce.
+  run_sessions`.  The executor is chosen by one rule: the context's
+  ``pool``; else, with ``workers > 1``, a :class:`~repro.perf.reduce_pool.
+  CallableProbeSpec` pool built once per run; else the in-process
+  :class:`~repro.perf.reduce_pool.InlinePool` (capacity 1 — the serial
+  reducer).  A pool rebuilds the *original* sequence in its workers, so
+  candidate index tuples are re-based through the pipeline's positions map;
+  once a pass has *mutated* an element in place (payload shrinking) the map
+  is void and later ddmin legs run inline — cheap, because they happen
+  after the big first leg.  :meth:`PassPipeline.run_fleet` drives the ddmin
+  legs of many runs through one ``run_sessions`` over one shared pool.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -49,6 +57,12 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.core.reducer import ReductionResult
 from repro.observability import as_tracer
+from repro.perf.parallel_reduce import (
+    SpeculativeReduction,
+    SpeculativeSession,
+    run_sessions,
+)
+from repro.perf.reduce_pool import CallableProbeSpec, InlinePool, ReductionPool
 
 #: Creduce's GIVEUP_CONSTANT: consecutive rejections before a greedy pass
 #: is abandoned for this invocation.
@@ -104,43 +118,21 @@ class PassStats:
 
 @dataclass
 class PipelineResult(ReductionResult):
-    """A :class:`~repro.core.reducer.ReductionResult` plus per-pass stats
-    and the cleanup pass's module (when it ran)."""
+    """A :class:`~repro.core.reducer.ReductionResult` plus per-pass stats,
+    the cleanup pass's module (when it ran) and the speculation stats."""
 
     pass_stats: list[PassStats] = field(default_factory=list)
     #: The module after the ``cleanup`` (spirv-reduce) pass; ``None`` when no
     #: module pass ran.  Like ``replay_stats`` it is observational.
     cleaned_module: Any = None
+    #: The ddmin legs' merged :class:`~repro.perf.parallel_reduce.
+    #: SpeculationStats`; ``None`` when no ddmin leg ran.  Observational.
+    speculation: Any = None
 
     def to_json(self) -> dict:
         data = super().to_json()
         data["passes"] = [stats.to_json() for stats in self.pass_stats]
         return data
-
-
-def ddmin_pipeline_result(
-    result: ReductionResult, *, ran: bool = True
-) -> PipelineResult:
-    """The :class:`PipelineResult` ``PassPipeline(["ddmin"])`` reports for a
-    bare ddmin reduction *result* — for engines driven outside the pipeline
-    (``Harness.reduce_all``'s cross-finding fleet).  *ran* is false when the
-    reduction degraded while verifying its input, before ddmin started."""
-    from dataclasses import fields
-
-    stats = PassStats("ddmin")
-    if ran:
-        stats.runs = 1
-        stats.probes = result.tests_run - 1  # all but the verify probe
-        stats.accepted = len(result.history)
-        stats.removed = result.initial_length - result.final_length
-    piped = PipelineResult(
-        **{f.name: getattr(result, f.name) for f in fields(ReductionResult)},
-        pass_stats=[stats],
-    )
-    speculation = getattr(result, "speculation", None)
-    if speculation is not None:
-        piped.speculation = speculation
-    return piped
 
 
 @dataclass
@@ -152,6 +144,12 @@ class PipelineContext:
     test routed through the fault envelope + journal) must be set.
     ``module_probe`` maps the final sequence to ``(module, module_verdict)``
     for module-stage passes; without it they are skipped.
+
+    ``pool`` is a caller-owned :class:`~repro.perf.reduce_pool.
+    ReductionPool` whose ``pool_key`` spec rebuilds the input sequence;
+    without one, ``workers > 1`` builds a pool over the test itself.
+    ``probe_batch`` candidates share one worker round-trip.  The deadline
+    is ``max_seconds``, else ``policy.max_seconds``.
     """
 
     is_interesting: Callable | None = None
@@ -170,42 +168,6 @@ class PipelineContext:
     metrics: Any = None
     replay_stats: Any = None
     module_probe: Callable | None = None
-
-
-class _IndexMappedPool:
-    """A :class:`~repro.perf.reduce_pool.ReductionPool` proxy that re-bases
-    candidate index tuples from the pipeline's current sequence to the
-    original the pool's worker spec was built from.  ``close`` is a no-op —
-    the pipeline's caller owns the real pool."""
-
-    def __init__(self, pool: Any, positions: Sequence[int]) -> None:
-        self._pool = pool
-        self._positions = list(positions)
-
-    def _map(self, indices) -> tuple:
-        return tuple(self._positions[i] for i in indices)
-
-    def submit(self, key: str, indices):
-        return self._pool.submit(key, self._map(indices))
-
-    def submit_batch(self, key: str, index_lists):
-        return self._pool.submit_batch(key, [self._map(ix) for ix in index_lists])
-
-    @property
-    def capacity(self) -> int:
-        return self._pool.capacity
-
-    def absorb(self, key: str, delta) -> None:
-        return self._pool.absorb(key, delta)
-
-    def recover(self) -> None:
-        return self._pool.recover()
-
-    def replay_stats_for(self, key: str):
-        return self._pool.replay_stats_for(key)
-
-    def close(self) -> None:
-        pass
 
 
 class PassRun:
@@ -335,12 +297,49 @@ class PassPipeline:
             ctx = PipelineContext(is_interesting=ctx)
         if ctx is None or (ctx.is_interesting is None and ctx.verdict_test is None):
             raise ValueError("PipelineContext needs is_interesting or verdict_test")
-        execution = _Execution(self, ctx, transformations)
-        return execution.run()
+        return _Execution(self, ctx, transformations).run()
+
+    def run_fleet(self, jobs: Sequence[tuple[Sequence, PipelineContext]]) -> list:
+        """Run a lone-ddmin pipeline over several ``(transformations, ctx)``
+        jobs at once and return their results in order.
+
+        Every job's ``ctx.pool`` is the same shared pool, with a spec under
+        the job's own ``pool_key``; one :func:`~repro.perf.parallel_reduce.
+        run_sessions` drives every job's ddmin leg over it with fair
+        round-robin dispatch.  Each result equals what :meth:`run` returns
+        for that job alone.
+        """
+        from repro.reduce.passes import DdminPass
+
+        if len(self.passes) != 1 or not isinstance(self.passes[0], DdminPass):
+            raise ValueError("run_fleet needs a pipeline of one ddmin pass")
+        executions = [_Execution(self, ctx, items) for items, ctx in jobs]
+        legs = []
+        try:
+            for execution in executions:
+                run = execution.begin() and execution.open_pass(self.passes[0])
+                if run:
+                    _, session = execution.start_ddmin(run)
+                    legs.append((execution, run, session))
+            if legs:
+                ctx = legs[0][0].ctx
+                run_sessions(
+                    ctx.pool,
+                    [session for _, _, session in legs],
+                    batch=ctx.probe_batch or 1,
+                    metrics=ctx.metrics,
+                )
+            for execution, run, session in legs:
+                body = functools.partial(execution.absorb_ddmin, session=session)
+                execution.close_pass(run, 1, body)
+        finally:
+            for execution in executions:
+                execution.release()
+        return [execution.finish() for execution in executions]
 
 
 class _Execution:
-    """Single-use state machine for one :meth:`PassPipeline.run`."""
+    """Single-use state machine for one pipeline run."""
 
     def __init__(self, pipeline: PassPipeline, ctx: PipelineContext, transformations):
         self.pipeline = pipeline
@@ -351,9 +350,6 @@ class _Execution:
         self.current = list(transformations)
         self.positions: list[int] | None = list(range(len(self.sequence)))
         self.fault = ctx.verdict_test is not None
-        self.deadline: float | None = (
-            time.monotonic() + ctx.max_seconds if ctx.max_seconds is not None else None
-        )
         self.stats = {p.name: PassStats(p.name) for p in pipeline.passes}
         self.histories: list = []
         self.sequence_chunks = 0
@@ -377,6 +373,27 @@ class _Execution:
             if journal is not None and not isinstance(journal, ReductionJournal):
                 journal = ReductionJournal(journal)
             self.journal = journal
+        max_seconds = ctx.max_seconds
+        if max_seconds is None and self.policy is not None:
+            max_seconds = self.policy.max_seconds
+        self.deadline: float | None = (
+            time.monotonic() + max_seconds if max_seconds is not None else None
+        )
+        # The executor rule: the caller's pool; else, with workers > 1, one
+        # pool over the test itself for the whole run (processes start on
+        # first use); else ddmin legs run inline.
+        self.pool = ctx.pool
+        self._owns_pool = False
+        if self.pool is None and ctx.workers > 1:
+            spec = CallableProbeSpec(
+                test=ctx.verdict_test or ctx.is_interesting,
+                items=tuple(self.sequence),
+                decide=self.fault,
+                policy=self.policy,
+            )
+            if ReductionPool.shippable(spec):
+                self.pool = ReductionPool({ctx.pool_key: spec}, ctx.workers)
+                self._owns_pool = True
 
     @property
     def stopped(self) -> bool:
@@ -445,7 +462,7 @@ class _Execution:
                 self.policy,
                 journal=self.journal,
                 # Each oracle gets its own copy: scoped keys are disjoint
-                # across passes, and ``__call__`` pops consumed records.
+                # across passes, and a commit consumes its replayed record.
                 resume_records=dict(self.decisions),
                 supervised_target=self.ctx.supervised_target,
                 tracer=self.tracer,
@@ -453,7 +470,6 @@ class _Execution:
                 replay_stats=self.ctx.replay_stats,
                 key_fn=key_fn,
             )
-            oracle.initial_length = len(self.sequence)
             oracle.deadline = self.deadline
             self.oracles[scope] = oracle
         return oracle
@@ -489,188 +505,192 @@ class _Execution:
     # -- the ddmin leg ---------------------------------------------------------------
 
     def run_ddmin(self, run: PassRun) -> None:
-        from repro.perf.parallel_reduce import parallel_reduce
-        from repro.robustness.reduction import reduce_with_faults
+        pool, session = self.start_ddmin(run)
+        run_sessions(
+            pool,
+            [session],
+            batch=self.ctx.probe_batch or 1,
+            metrics=self.ctx.metrics,
+        )
+        self.absorb_ddmin(run, session)
 
-        before_len = len(self.current)
-        remaining = None
-        if self.deadline is not None:
-            remaining = max(0.0, self.deadline - time.monotonic())
-        workers = max(1, self.ctx.workers or 1)
-        pool = None
-        if self.ctx.pool is not None and workers > 1 and self.positions is not None:
-            pool = _IndexMappedPool(self.ctx.pool, self.positions)
-        if self.fault:
-            oracle = self.oracle_for(run.name)
-            calls_before = oracle.calls
-            result = reduce_with_faults(
-                self.current,
-                self.ctx.verdict_test,
-                self.policy,
-                supervised_target=self.ctx.supervised_target,
-                tracer=self.tracer,
-                metrics=self.ctx.metrics,
-                replay_stats=self.ctx.replay_stats,
-                workers=workers if pool is not None else 1,
-                window=self.ctx.window,
-                pool=pool,
-                pool_key=self.ctx.pool_key,
-                oracle=oracle,
-                verify=False,
+    def start_ddmin(self, run: PassRun) -> tuple[Any, SpeculativeSession]:
+        """Open a ddmin leg over the current sequence: its executor and the
+        engine session for :func:`~repro.perf.parallel_reduce.run_sessions`.
+        A pool serves the leg while the positions map into the sequence it
+        rebuilds is intact; otherwise the leg runs inline, over the current
+        sequence, in this process."""
+        oracle = self.oracle_for(run.name) if self.fault else None
+        pool, positions = self.pool, self.positions
+        if pool is None or positions is None:
+            pool = InlinePool(
+                self.current, probe=self.ctx.is_interesting, oracle=oracle
             )
-            probes = oracle.calls - calls_before
-        else:
-            result = parallel_reduce(
-                self.current,
-                self.ctx.is_interesting,
-                workers=workers if self.ctx.pool is None or pool is not None else 1,
-                window=self.ctx.window,
-                verify_input=False,
-                max_seconds=remaining,
-                tracer=self.tracer,
-                pool=pool,
-                pool_key=self.ctx.pool_key,
-                batch=self.ctx.probe_batch,
-                metrics=self.ctx.metrics,
-            )
-            probes = result.tests_run
-            self.tests_total += result.tests_run
-        run.stats.probes += probes
-        run.stats.accepted += len(result.history)
-        run.stats.removed += before_len - len(result.transformations)
-        self.sequence_chunks += len(result.history)
-        if len(result.transformations) < before_len:
+            positions = None
+        inline = isinstance(pool, InlinePool)
+        engine = SpeculativeReduction(
+            self.current,
+            window=1 if inline else self.ctx.window or pool.workers * 4,
+            lookup=oracle.lookup if oracle is not None else None,
+            on_commit=oracle.on_commit if oracle is not None else None,
+            tracer=self.tracer,
+        )
+        engine.stats.workers = pool.workers
+        engine.stats.mode = "inline" if inline else "pool"
+        session = SpeculativeSession(
+            self.ctx.pool_key, engine, positions=positions, deadline=self.deadline
+        )
+        return pool, session
+
+    def absorb_ddmin(self, run: PassRun, session: SpeculativeSession) -> None:
+        """Fold a driven ddmin leg into the run.  The engine's committed
+        state is the leg's result — also the best-so-far when the leg
+        stopped on its deadline or an error, which is re-raised after."""
+        engine = session.engine
+        kept = engine.current
+        run.stats.probes += engine.tests_run
+        run.stats.accepted += len(engine.history)
+        run.stats.removed += len(self.current) - len(kept)
+        if not self.fault:
+            self.tests_total += engine.tests_run
+        self.sequence_chunks += len(engine.history)
+        if engine.history:
             run.changed = True
+        self.current = [self.current[i] for i in kept]
         if self.positions is not None:
-            positions = list(self.positions)
-            for _chunk, start, end in result.history:
-                del positions[start:end]
-            if len(positions) == len(result.transformations):
-                self.positions = positions
-            else:  # a degraded leg lost its trajectory; stop pool mapping
-                self.positions = None
-        self.current = list(result.transformations)
-        self.histories.extend(result.history)
-        speculation = getattr(result, "speculation", None)
-        if speculation is not None:
-            self.speculations.append(speculation)
-        if result.timed_out or result.degraded == "budget-exhausted":
+            self.positions = [self.positions[i] for i in kept]
+        self.histories.extend(engine.history)
+        self.speculations.append(engine.stats)
+        if engine.timed_out:
             self.timed_out = True
-        elif result.degraded:
-            self.degraded = result.degraded
+        if session.error is not None:
+            raise session.error
 
     # -- scheduling ------------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        from repro.robustness.reduction import ReductionAborted
+        try:
+            if self.begin():
+                self._schedule()
+        finally:
+            self.release()
+        return self.finish()
 
-        if self.fault:
-            self._prepare_journal()
-            oracle = self.oracle_for("verify")
-            try:
-                verified = oracle.verify(self.sequence)
-            except ReductionAborted as abort:
-                self.degraded = abort.reason
-                self.detail = abort.detail
-                return self._finish()
-            except ValueError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - degrade like reduce_with_faults
-                self.degraded = f"oracle-error: {type(exc).__name__}"
-                self.detail = str(exc)
-                return self._finish()
-            # The verify probe is already in the verify oracle's ``calls``;
-            # fault-mode tests_run sums oracle calls, so don't bill it twice.
-            if not verified:
-                if oracle.last_verdict_faulted:
-                    self.degraded = "verify-faulted"
-                    return self._finish()
-                raise ValueError(
-                    "the full transformation sequence is not interesting"
-                )
-        else:
+    def begin(self) -> bool:
+        """Prepare the journal and verify the input.  ``False`` when the run
+        already ended, degraded; ``ValueError`` when the input is genuinely
+        not interesting."""
+        if not self.fault:
             self.tests_total = 1
             if not self.ctx.is_interesting(self.sequence):
-                raise ValueError(
-                    "the full transformation sequence is not interesting"
-                )
+                raise ValueError("the full transformation sequence is not interesting")
+            return True
+        self._prepare_journal()
+        oracle = self.oracle_for("verify")
+        try:
+            # The verify probe lands in the verify oracle's ``calls``;
+            # fault-mode tests_run sums oracle calls.
+            verified = oracle(self.sequence, mode="verify")
+        except ValueError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - degrade to the input
+            self._degrade(exc)
+            return False
+        if not verified:
+            if not oracle.last_verdict_faulted:
+                raise ValueError("the full transformation sequence is not interesting")
+            self.degraded = "verify-faulted"
+            return False
+        return True
 
+    def _schedule(self) -> None:
         sequence_passes = [p for p in self.pipeline.passes if p.stage == "sequence"]
         module_passes = [p for p in self.pipeline.passes if p.stage != "sequence"]
         pending = {p.name for p in sequence_passes}
         sweep = 0
-        try:
-            while pending and not self.stopped:
-                sweep += 1
-                for reduction_pass in sequence_passes:
-                    if reduction_pass.name not in pending or self.stopped:
-                        continue
-                    pending.discard(reduction_pass.name)
-                    run = self._invoke(reduction_pass, sweep)
-                    if run is not None and run.changed:
-                        pending.update(
-                            p.name
-                            for p in sequence_passes
-                            if p.name != reduction_pass.name
-                        )
-            if module_passes and not self.stopped and self.ctx.module_probe is not None:
-                self.module, self.module_verdict = self.ctx.module_probe(self.current)
-                for reduction_pass in module_passes:
-                    if self.stopped:
-                        break
-                    self._invoke(reduction_pass, sweep)
-        finally:
-            if self.ctx.supervised_target is not None:
-                self.ctx.supervised_target.set_timeout_override(None)
-        return self._finish()
+        while pending and not self.stopped:
+            sweep += 1
+            for reduction_pass in sequence_passes:
+                if reduction_pass.name not in pending or self.stopped:
+                    continue
+                pending.discard(reduction_pass.name)
+                run = self._invoke(reduction_pass, sweep)
+                if run is not None and run.changed:
+                    pending.update(
+                        p.name for p in sequence_passes if p.name != reduction_pass.name
+                    )
+        if module_passes and not self.stopped and self.ctx.module_probe is not None:
+            self.module, self.module_verdict = self.ctx.module_probe(self.current)
+            for reduction_pass in module_passes:
+                if self.stopped:
+                    break
+                self._invoke(reduction_pass, sweep)
+
+    def release(self) -> None:
+        if self.ctx.supervised_target is not None:
+            self.ctx.supervised_target.set_timeout_override(None)
+        if self._owns_pool:
+            self.pool.close()
 
     def _invoke(self, reduction_pass: ReductionPass, sweep: int) -> PassRun | None:
-        from repro.robustness.reduction import ReductionAborted
+        run = self.open_pass(reduction_pass)
+        if run is not None:
+            self.close_pass(run, sweep, reduction_pass.run)
+        return run
 
+    def open_pass(self, reduction_pass: ReductionPass) -> PassRun | None:
+        """Start one pass invocation; ``None`` when the deadline has passed."""
         if self.out_of_time():
             self.timed_out = True
             return None
         run = PassRun(self, reduction_pass)
-        self.stats[reduction_pass.name].runs += 1
-        probes_before = run.stats.probes
-        accepted_before = run.stats.accepted
-        removed_before = run.stats.removed
+        run.stats.runs += 1
+        return run
+
+    def close_pass(self, run: PassRun, sweep: int, body: Callable) -> None:
+        """Run *body(run)* — the pass, or the rest of its ddmin leg — then
+        account the invocation.  In fault mode an oracle failure degrades
+        the run; a genuinely non-interesting input still raises."""
+        stats = run.stats
+        probes, accepted, removed = stats.probes, stats.accepted, stats.removed
         try:
-            reduction_pass.run(run)
-        except ReductionAborted as abort:
-            self.degraded = abort.reason
-            self.detail = abort.detail
+            body(run)
         except ValueError:
             raise
-        except Exception as exc:  # noqa: BLE001 - degrade like reduce_with_faults
+        except Exception as exc:  # noqa: BLE001 - degrade, in fault mode only
             if not self.fault:
                 raise
-            self.degraded = f"oracle-error: {type(exc).__name__}"
-            self.detail = str(exc)
+            self._degrade(exc)
         self.tracer.emit(
             "reduce.pass",
-            name=reduction_pass.name,
+            name=run.name,
             sweep=sweep,
-            probes=run.stats.probes - probes_before,
-            accepted=run.stats.accepted - accepted_before,
-            removed=run.stats.removed - removed_before,
+            probes=stats.probes - probes,
+            accepted=stats.accepted - accepted,
+            removed=stats.removed - removed,
             gave_up=run.gave_up,
             remaining=len(self.current),
         )
         if self.ctx.metrics is not None:
             self.ctx.metrics.inc("reduce.pass_runs")
-            self.ctx.metrics.inc(f"reduce.pass_runs.{reduction_pass.name}")
-        return run
+            self.ctx.metrics.inc(f"reduce.pass_runs.{run.name}")
+
+    def _degrade(self, exc: Exception) -> None:
+        from repro.robustness.reduction import ReductionAborted
+
+        if isinstance(exc, ReductionAborted):
+            self.degraded, self.detail = exc.reason, exc.detail
+            return
+        # A worker's exception arrives as WorkerProbeError: name the original.
+        name = getattr(exc, "original_type", None) or type(exc).__name__
+        self.degraded, self.detail = f"oracle-error: {name}", str(exc)
 
     # -- result assembly ---------------------------------------------------------------
 
-    def _finish(self) -> PipelineResult:
-        if self.fault:
-            tests_run = self.tests_total + sum(
-                oracle.calls for oracle in self.oracles.values()
-            )
-        else:
-            tests_run = self.tests_total
+    def finish(self) -> PipelineResult:
+        # Plain probes count in ``tests_total``; fault-mode ones in their
+        # oracles' ``calls`` (there are no oracles in plain mode).
+        tests_run = self.tests_total + sum(o.calls for o in self.oracles.values())
         result = PipelineResult(
             transformations=list(self.current),
             tests_run=tests_run,
@@ -681,9 +701,7 @@ class _Execution:
             pass_stats=[self.stats[p.name] for p in self.pipeline.passes],
             cleaned_module=self.module,
         )
-        speculation = _merge_speculation(self.speculations)
-        if speculation is not None:
-            result.speculation = speculation
+        result.speculation = _merge_speculation(self.speculations)
         if self.fault:
             result.stability = self._merged_stability()
             if result.timed_out and self.degraded is None:

@@ -14,11 +14,12 @@ targets misbehave:
   skipped for the rest of the campaign.
 * :func:`verdict_is_stable` — re-probe findings and flag flaky verdicts as
   ``nondeterministic`` so deduplication keeps them apart from stable bugs.
-* :func:`reduce_with_faults` / :class:`FlakeHardenedOracle` — a fault-
-  tolerant wrapper pipeline around the delta-debugging loop: supervised
-  probes with per-candidate fault verdicts, adaptive k-of-n voting against
-  flaky oracles, a fsync-per-line :class:`ReductionJournal` enabling
-  byte-identical ``SIGKILL`` resume, and best-so-far graceful degradation.
+* :class:`FlakeHardenedOracle` — the fault envelope the reduction pass
+  pipeline (:class:`repro.reduce.PassPipeline`, given a verdict test)
+  probes through: supervised probes with per-candidate fault verdicts,
+  adaptive k-of-n voting against flaky oracles, a fsync-per-line
+  :class:`ReductionJournal` enabling byte-identical ``SIGKILL`` resume,
+  and best-so-far graceful degradation.
 * :mod:`repro.robustness.chaos` — the deterministic I/O fault-injection
   seam (:class:`FileOps` / :class:`ChaosFileOps`): every durable writer
   above performs its I/O through an injectable object, so tests can fail
@@ -54,7 +55,6 @@ from repro.robustness.reduction import (
     FlakeHardenedOracle,
     ProbeVerdict,
     ReductionAborted,
-    reduce_with_faults,
 )
 from repro.robustness.retry import (
     DecorrelatedJitter,
@@ -90,7 +90,6 @@ __all__ = [
     "find_supervised",
     "parse_record",
     "record_to_run",
-    "reduce_with_faults",
     "run_to_record",
     "seal_record",
     "slow_loris_post",

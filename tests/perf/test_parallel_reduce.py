@@ -1,11 +1,13 @@
 """Speculative parallel reduction: byte-identical to serial at every K.
 
-The ISSUE's property test lives here: for K in {1, 2, 4} workers the
-parallel reducer must return the *identical* transformation subsequence,
-``tests_run``, ``chunks_removed`` and accepted-chunk history as the serial
-reducer, across oracle shapes (subset, order-sensitive, seeded-irregular).
-The oracles are module-level frozen dataclasses so they ship to worker
-processes under both ``fork`` and pickling.
+For K in {1, 2, 4} workers the pipeline's ddmin leg must return the
+*identical* transformation subsequence, ``tests_run``, ``chunks_removed``
+and accepted-chunk history as the serial reducer, across oracle shapes
+(subset, order-sensitive, seeded-irregular).  K=1 runs on the inline
+executor; K>1 on a :class:`~repro.perf.reduce_pool.ReductionPool` of
+:class:`~repro.perf.reduce_pool.CallableProbeSpec`.  The oracles are
+module-level frozen dataclasses so they ship to worker processes under
+both ``fork`` and pickling.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from repro.core.fuzzer import FuzzerOptions
 from repro.core.harness import Harness
 from repro.core.reducer import reduce_transformations
 from repro.core.transformation import sequence_to_json
-from repro.perf import WorkerProbeError, parallel_reduce
+from repro.perf import WorkerProbeError
+
+from tests.reduce.ddmin import run_ddmin, without_passes
 
 ITEMS = list(range(40))
 
@@ -98,51 +102,53 @@ def oracles():
 
 
 class TestByteIdentity:
-    """parallel(K) == serial for K in {1, 2, 4}, field for field."""
+    """ddmin leg (K) == serial for K in {1, 2, 4}, field for field."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("oracle", list(oracles()))
     def test_matches_serial(self, oracle, workers):
         serial = reduce_transformations(ITEMS, oracle)
-        result = parallel_reduce(ITEMS, oracle, workers=workers)
+        result = run_ddmin(ITEMS, is_interesting=oracle, workers=workers)
         assert result.transformations == serial.transformations
         assert result.tests_run == serial.tests_run
         assert result.chunks_removed == serial.chunks_removed
         # The accepted-chunk history must match step for step, not merely
         # the endpoint: every commit happened in the exact serial order.
         assert result.history == serial.history
-        assert result.to_json() == serial.to_json()
+        assert without_passes(result) == serial.to_json()
 
     @pytest.mark.parametrize("window", [1, 2, 16])
     def test_window_size_never_changes_the_result(self, window):
         oracle = SubsetOracle(frozenset({3, 17, 38}))
         serial = reduce_transformations(ITEMS, oracle)
-        result = parallel_reduce(ITEMS, oracle, workers=2, window=window)
-        assert result.to_json() == serial.to_json()
+        result = run_ddmin(ITEMS, is_interesting=oracle, workers=2, window=window)
+        assert without_passes(result) == serial.to_json()
         assert result.history == serial.history
 
     def test_tiny_sequences(self):
         oracle = SubsetOracle(frozenset({0}))
         for items in ([0], [0, 1], [0, 1, 2]):
             serial = reduce_transformations(items, oracle)
-            result = parallel_reduce(items, oracle, workers=2)
-            assert result.to_json() == serial.to_json()
+            result = run_ddmin(items, is_interesting=oracle, workers=2)
+            assert without_passes(result) == serial.to_json()
 
     def test_non_interesting_input_raises_at_every_worker_count(self):
         oracle = SubsetOracle(frozenset({99}))
         for workers in (1, 2):
             with pytest.raises(ValueError):
-                parallel_reduce(ITEMS, oracle, workers=workers)
+                run_ddmin(ITEMS, is_interesting=oracle, workers=workers)
 
     def test_worker_oracle_errors_surface(self):
         oracle = ExplodingOracle(frozenset({3}), explode_below=30)
         with pytest.raises((WorkerProbeError, RuntimeError)):
-            parallel_reduce(ITEMS, oracle, workers=2)
+            run_ddmin(ITEMS, is_interesting=oracle, workers=2)
 
 
 class TestSpeculationAccounting:
     def test_single_worker_runs_inline(self):
-        result = parallel_reduce(ITEMS, SubsetOracle(frozenset({3})), workers=1)
+        result = run_ddmin(
+            ITEMS, is_interesting=SubsetOracle(frozenset({3})), workers=1
+        )
         stats = result.speculation
         assert stats is not None
         assert stats.mode == "inline"
@@ -150,7 +156,7 @@ class TestSpeculationAccounting:
 
     def test_pool_mode_counters_are_sane(self):
         oracle = SubsetOracle(frozenset({3, 17, 38}))
-        result = parallel_reduce(ITEMS, oracle, workers=2)
+        result = run_ddmin(ITEMS, is_interesting=oracle, workers=2)
         stats = result.speculation
         assert stats is not None
         assert stats.mode == "pool"

@@ -18,7 +18,9 @@ from __future__ import annotations
 import random
 
 from repro.core.reducer import reduce_transformations
-from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
+from repro.robustness import ProbeVerdict, ReductionPolicy
+
+from tests.reduce.ddmin import run_ddmin
 
 SEQUENCE = list("abcdefghijkl")
 NEEDLES = {"c", "i"}
@@ -49,7 +51,9 @@ class FlakyOracle:
 def test_hardened_reducer_never_returns_a_non_interesting_sequence():
     flaky_runs = 0
     for seed in range(RUNS):
-        result = reduce_with_faults(SEQUENCE, FlakyOracle(seed), HARDENED)
+        result = run_ddmin(
+            SEQUENCE, verdict_test=FlakyOracle(seed), policy=HARDENED
+        )
         assert truth(result.transformations), (
             f"seed {seed}: hardened reduction returned a non-interesting "
             f"sequence {result.transformations!r}"
@@ -88,8 +92,8 @@ def test_hardened_result_matches_raw_on_a_truthful_oracle():
     # With no lies, the voting machinery must be invisible: same minimal
     # sequence, no disagreements, no escalation.
     raw = reduce_transformations(SEQUENCE, truth)
-    hardened = reduce_with_faults(
-        SEQUENCE, lambda c: ProbeVerdict(truth(c)), HARDENED
+    hardened = run_ddmin(
+        SEQUENCE, verdict_test=lambda c: ProbeVerdict(truth(c)), policy=HARDENED
     )
     assert hardened.transformations == raw.transformations
     assert hardened.stability["disagreements"] == 0

@@ -1,9 +1,11 @@
 """Parallel reduction composed with the fault envelope.
 
-``reduce_with_faults(workers=K)`` must be byte-identical to the serial
-pipeline — result *and* journal — for deterministic oracles, including
-deterministic fault patterns and journal resume; and a SIGKILLed worker
-must be recovered with the result unchanged (verdict purity makes
+The fault-mode ddmin pipeline at K workers (a
+:class:`~repro.perf.reduce_pool.ReductionPool` of decision-record
+:class:`~repro.perf.reduce_pool.CallableProbeSpec`) must be byte-identical
+to the serial pipeline — result *and* journal — for deterministic oracles,
+including deterministic fault patterns and journal resume; and a SIGKILLed
+worker must be recovered with the result unchanged (verdict purity makes
 re-probing sound).
 
 Oracles are module-level frozen dataclasses so they ship to workers.
@@ -18,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
+from repro.robustness import ProbeVerdict, ReductionPolicy
+
+from tests.reduce.ddmin import run_ddmin
 
 SEQUENCE = list("abcdefghijkl")
 NEEDLES = frozenset({"c", "i"})
@@ -72,11 +76,15 @@ class KillOnceOracle:
 CLEAN = CleanOracle(NEEDLES)
 
 
+def reduce_with(oracle, **fields):
+    return run_ddmin(SEQUENCE, verdict_test=oracle, policy=POLICY, **fields)
+
+
 class TestCleanParity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_result_and_stability_match_serial(self, workers):
-        serial = reduce_with_faults(SEQUENCE, CLEAN, POLICY)
-        parallel = reduce_with_faults(SEQUENCE, CLEAN, POLICY, workers=workers)
+        serial = reduce_with(CLEAN)
+        parallel = reduce_with(CLEAN, workers=workers)
         assert parallel.to_json() == serial.to_json()
         assert parallel.transformations == serial.transformations
         assert parallel.tests_run == serial.tests_run
@@ -86,10 +94,8 @@ class TestCleanParity:
     def test_journal_bytes_match_serial(self, tmp_path):
         serial_journal = tmp_path / "serial.jsonl"
         parallel_journal = tmp_path / "parallel.jsonl"
-        serial = reduce_with_faults(SEQUENCE, CLEAN, POLICY, journal=serial_journal)
-        parallel = reduce_with_faults(
-            SEQUENCE, CLEAN, POLICY, journal=parallel_journal, workers=2
-        )
+        serial = reduce_with(CLEAN, journal=serial_journal)
+        parallel = reduce_with(CLEAN, journal=parallel_journal, workers=2)
         assert parallel.to_json() == serial.to_json()
         assert parallel_journal.read_bytes() == serial_journal.read_bytes()
 
@@ -97,7 +103,7 @@ class TestCleanParity:
 class TestJournalResume:
     def test_parallel_resume_is_byte_identical(self, tmp_path):
         full_journal = tmp_path / "full.jsonl"
-        full = reduce_with_faults(SEQUENCE, CLEAN, POLICY, journal=full_journal)
+        full = reduce_with(CLEAN, journal=full_journal)
         full_bytes = full_journal.read_bytes()
         lines = full_bytes.decode().splitlines(keepends=True)
 
@@ -107,18 +113,14 @@ class TestJournalResume:
         for keep in (1, 3, len(lines) // 2, len(lines) - 1):
             partial = tmp_path / f"partial_{keep}.jsonl"
             partial.write_text("".join(lines[:keep]))
-            resumed = reduce_with_faults(
-                SEQUENCE, CLEAN, POLICY, journal=partial, resume=True, workers=2
-            )
+            resumed = reduce_with(CLEAN, journal=partial, resume=True, workers=2)
             assert resumed.to_json() == full.to_json(), f"diverged at {keep}"
             assert partial.read_bytes() == full_bytes, f"diverged at {keep}"
 
     def test_complete_journal_short_circuits_all_dispatch(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        full = reduce_with_faults(SEQUENCE, CLEAN, POLICY, journal=journal)
-        resumed = reduce_with_faults(
-            SEQUENCE, CLEAN, POLICY, journal=journal, resume=True, workers=2
-        )
+        full = reduce_with(CLEAN, journal=journal)
+        resumed = reduce_with(CLEAN, journal=journal, resume=True, workers=2)
         assert resumed.to_json() == full.to_json()
         assert resumed.stability["probes"] == full.stability["probes"]
 
@@ -131,8 +133,8 @@ class TestDeterministicFaults:
         oracle = DeterministicFaultOracle(
             NEEDLES, (tuple(SEQUENCE[: len(SEQUENCE) // 2]),)
         )
-        serial = reduce_with_faults(SEQUENCE, oracle, POLICY)
-        parallel = reduce_with_faults(SEQUENCE, oracle, POLICY, workers=2)
+        serial = reduce_with(oracle)
+        parallel = reduce_with(oracle, workers=2)
         assert serial.stability["faults"]["timeout"] > 0
         assert parallel.to_json() == serial.to_json()
         assert parallel.stability == serial.stability
@@ -143,9 +145,9 @@ class TestWorkerLoss:
     def test_sigkilled_worker_is_recovered_with_identical_result(self, tmp_path):
         flag = tmp_path / "killed.flag"
         oracle = KillOnceOracle(NEEDLES, str(flag), kill_length=9)
-        serial = reduce_with_faults(SEQUENCE, CLEAN, POLICY)
+        serial = reduce_with(CLEAN)
 
-        parallel = reduce_with_faults(SEQUENCE, oracle, POLICY, workers=2)
+        parallel = reduce_with(oracle, workers=2)
         assert flag.exists(), "the kill never triggered — adjust kill_length"
         assert parallel.to_json() == serial.to_json()
         assert parallel.transformations == serial.transformations

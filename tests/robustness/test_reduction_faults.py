@@ -1,5 +1,8 @@
 """Fault-tolerant reduction units: faults never accept, budgets degrade.
 
+Every reduction here is the ddmin pass pipeline with a verdict test, so
+probes run through the flake-hardened oracle.
+
 The oracle doubles here are deliberately toy — the reducer treats sequence
 elements as black boxes, so lists of strings exercise the exact decision
 pipeline the harness runs on real transformation sequences, without paying
@@ -13,14 +16,10 @@ import time
 import pytest
 
 from repro.core.reducer import reduce_transformations
-from repro.robustness import (
-    ProbeVerdict,
-    ReductionPolicy,
-    SupervisedTarget,
-    reduce_with_faults,
-)
+from repro.robustness import ProbeVerdict, ReductionPolicy, SupervisedTarget
 from repro.robustness.config import RobustnessConfig
 
+from tests.reduce.ddmin import run_ddmin
 from tests.robustness.faults import FaultyTarget
 
 SEQUENCE = list("abcdefgh")
@@ -38,13 +37,18 @@ def clean_oracle(candidate) -> ProbeVerdict:
     return ProbeVerdict(truth(candidate))
 
 
+def reduce_with(oracle, policy, **fields):
+    """The fault-tolerant ddmin pipeline over *oracle* under *policy*."""
+    return run_ddmin(SEQUENCE, verdict_test=oracle, policy=policy, **fields)
+
+
 class TestCleanParity:
     """On a deterministic, well-behaved oracle the pipeline is the raw
     reducer: same sequence, same tests_run, no degradation."""
 
     def test_matches_raw_reducer(self):
         raw = reduce_transformations(SEQUENCE, truth)
-        hardened = reduce_with_faults(SEQUENCE, clean_oracle, FAST)
+        hardened = reduce_with(clean_oracle, FAST)
         assert hardened.transformations == raw.transformations
         assert hardened.tests_run == raw.tests_run
         assert hardened.chunks_removed == raw.chunks_removed
@@ -52,7 +56,7 @@ class TestCleanParity:
         assert hardened.timed_out is False
 
     def test_stability_accounting_present(self):
-        result = reduce_with_faults(SEQUENCE, clean_oracle, FAST)
+        result = reduce_with(clean_oracle, FAST)
         stability = result.stability
         assert stability is not None
         # Votes cost extra probes beyond the reducer's logical tests.
@@ -64,7 +68,7 @@ class TestCleanParity:
 
     def test_non_interesting_input_still_raises(self):
         with pytest.raises(ValueError):
-            reduce_with_faults(SEQUENCE, lambda c: ProbeVerdict(False), FAST)
+            reduce_with(lambda c: ProbeVerdict(False), FAST)
 
 
 class TestFaultsNeverAccept:
@@ -77,7 +81,7 @@ class TestFaultsNeverAccept:
                 return ProbeVerdict(True, fault="timeout")
             return ProbeVerdict(truth(candidate))
 
-        result = reduce_with_faults(SEQUENCE, oracle, FAST)
+        result = reduce_with(oracle, FAST)
         assert "h" in result.transformations
         assert truth(result.transformations)
         assert result.degraded is None  # faults were absorbed, not fatal
@@ -98,8 +102,8 @@ class TestFaultsNeverAccept:
                 return ProbeVerdict(False, fault="worker-crash")
             return ProbeVerdict(truth(candidate))
 
-        clean = reduce_with_faults(SEQUENCE, clean_oracle, FAST)
-        rescued = reduce_with_faults(SEQUENCE, oracle, FAST)
+        clean = reduce_with(clean_oracle, FAST)
+        rescued = reduce_with(oracle, FAST)
         assert rescued.transformations == clean.transformations
         assert rescued.degraded is None
         assert rescued.stability["fault_retries"] == 1
@@ -120,7 +124,7 @@ class TestFaultsNeverAccept:
             return ProbeVerdict(truth(candidate))
 
         policy = ReductionPolicy(fault_retries=3, retry_backoff=0.0)
-        result = reduce_with_faults(SEQUENCE, oracle, policy)
+        result = reduce_with(oracle, policy)
         assert probes["n"] == 4
         assert result.stability["faults"]["resource"] == 4
         assert truth(result.transformations)
@@ -139,7 +143,7 @@ class TestDegradation:
         policy = ReductionPolicy(
             fault_retries=0, retry_backoff=0.0, unresponsive_after=3
         )
-        result = reduce_with_faults(SEQUENCE, oracle, policy)
+        result = reduce_with(oracle, policy)
         assert result.degraded == "target-unresponsive"
         assert result.transformations == SEQUENCE
         assert result.stability["faults"]["timeout"] == 3
@@ -156,7 +160,7 @@ class TestDegradation:
         policy = ReductionPolicy(
             fault_retries=1, retry_backoff=0.0, unresponsive_after=None
         )
-        result = reduce_with_faults(SEQUENCE, oracle, policy)
+        result = reduce_with(oracle, policy)
         assert result.degraded == "verify-faulted"
         assert result.transformations == SEQUENCE
         assert result.final_length == result.initial_length
@@ -170,15 +174,13 @@ class TestDegradation:
                 raise RuntimeError("supervisor machinery died")
             return ProbeVerdict(truth(candidate))
 
-        result = reduce_with_faults(SEQUENCE, oracle, FAST)
+        result = reduce_with(oracle, FAST)
         assert result.degraded == "oracle-error: RuntimeError"
         assert truth(result.transformations)  # best-so-far is still interesting
 
     def test_exhausted_budget_degrades(self):
-        result = reduce_with_faults(
-            SEQUENCE,
-            clean_oracle,
-            ReductionPolicy(retry_backoff=0.0, max_seconds=0.0),
+        result = reduce_with(
+            clean_oracle, ReductionPolicy(retry_backoff=0.0, max_seconds=0.0)
         )
         assert result.timed_out is True
         assert result.degraded == "budget-exhausted"
@@ -208,9 +210,7 @@ class TestProbeTimeoutClamp:
         )
         started = time.monotonic()
         try:
-            result = reduce_with_faults(
-                SEQUENCE, oracle, policy, supervised_target=supervised
-            )
+            result = reduce_with(oracle, policy, supervised_target=supervised)
         finally:
             supervised.close()
         elapsed = time.monotonic() - started
@@ -227,8 +227,7 @@ class TestProbeTimeoutClamp:
                 self.override = timeout
 
         fake = FakeSupervised()
-        reduce_with_faults(
-            SEQUENCE,
+        reduce_with(
             clean_oracle,
             ReductionPolicy(retry_backoff=0.0, max_seconds=30.0),
             supervised_target=fake,

@@ -17,9 +17,10 @@ from repro.robustness import (
     ProbeVerdict,
     ReductionJournal,
     ReductionPolicy,
-    reduce_with_faults,
     seal_record,
 )
+
+from tests.reduce.ddmin import run_ddmin
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 SEQUENCE = list("abcdefghijkl")
@@ -33,6 +34,11 @@ def oracle(candidate) -> ProbeVerdict:
     return ProbeVerdict(NEEDLES.issubset(candidate))
 
 
+def reduce_with(test, items=SEQUENCE, **fields):
+    """The journaled fault-tolerant ddmin pipeline over *test*."""
+    return run_ddmin(items, verdict_test=test, policy=POLICY, **fields)
+
+
 def _truncated(journal_text: str, keep: int) -> str:
     """The first *keep* lines plus a record torn mid-write, as a SIGKILL
     between fsyncs would leave the file."""
@@ -44,44 +50,38 @@ def _truncated(journal_text: str, keep: int) -> str:
 class TestInProcessResume:
     def test_resume_from_partial_journal_is_byte_identical(self, tmp_path):
         full_journal = tmp_path / "full.jsonl"
-        full = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=full_journal)
+        full = reduce_with(oracle, journal=full_journal)
         full_bytes = full_journal.read_bytes()
         assert full.degraded is None
 
         partial = tmp_path / "partial.jsonl"
         partial.write_text(_truncated(full_bytes.decode(), keep=5))
-        resumed = reduce_with_faults(
-            SEQUENCE, oracle, POLICY, journal=partial, resume=True
-        )
+        resumed = reduce_with(oracle, journal=partial, resume=True)
 
         assert resumed.to_json() == full.to_json()
         assert partial.read_bytes() == full_bytes
 
     def test_every_truncation_point_resumes_identically(self, tmp_path):
         full_journal = tmp_path / "full.jsonl"
-        full = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=full_journal)
+        full = reduce_with(oracle, journal=full_journal)
         full_bytes = full_journal.read_bytes()
         lines = full_bytes.decode().splitlines(keepends=True)
 
         for keep in range(1, len(lines)):
             partial = tmp_path / f"partial_{keep}.jsonl"
             partial.write_text("".join(lines[:keep]))
-            resumed = reduce_with_faults(
-                SEQUENCE, oracle, POLICY, journal=partial, resume=True
-            )
+            resumed = reduce_with(oracle, journal=partial, resume=True)
             assert resumed.to_json() == full.to_json(), f"diverged at {keep}"
             assert partial.read_bytes() == full_bytes, f"diverged at {keep}"
 
     def test_complete_journal_resumes_without_probing(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        full = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=journal)
+        full = reduce_with(oracle, journal=journal)
 
         def boom(candidate):
             raise AssertionError("journaled decision was re-probed")
 
-        resumed = reduce_with_faults(
-            SEQUENCE, boom, POLICY, journal=journal, resume=True
-        )
+        resumed = reduce_with(boom, journal=journal, resume=True)
         assert resumed.to_json() == full.to_json()
         assert resumed.stability["probes"] == full.stability["probes"]
 
@@ -96,28 +96,22 @@ class TestInProcessResume:
             return ProbeVerdict(NEEDLES.issubset(candidate))
 
         journal = tmp_path / "journal.jsonl"
-        full = reduce_with_faults(SEQUENCE, faulty, POLICY, journal=journal)
+        full = reduce_with(faulty, journal=journal)
         assert full.stability["faults"]["timeout"] > 0
         full_bytes = journal.read_bytes()
 
         partial = tmp_path / "partial.jsonl"
         partial.write_text(_truncated(full_bytes.decode(), keep=3))
-        resumed = reduce_with_faults(
-            SEQUENCE, faulty, POLICY, journal=partial, resume=True
-        )
+        resumed = reduce_with(faulty, journal=partial, resume=True)
         assert resumed.to_json() == full.to_json()
         assert partial.read_bytes() == full_bytes
 
     def test_journal_for_a_different_sequence_is_rejected(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        reduce_with_faults(SEQUENCE, oracle, POLICY, journal=journal)
+        reduce_with(oracle, journal=journal)
         with pytest.raises(ValueError):
-            reduce_with_faults(
-                list("zyxwvu") + SEQUENCE,
-                oracle,
-                POLICY,
-                journal=journal,
-                resume=True,
+            reduce_with(
+                oracle, list("zyxwvu") + SEQUENCE, journal=journal, resume=True
             )
 
     def test_fresh_run_discards_a_stale_journal(self, tmp_path):
@@ -125,7 +119,7 @@ class TestInProcessResume:
         journal.write_bytes(
             seal_record({"header": True, "sequence": "stale", "length": 1})
         )
-        result = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=journal)
+        result = reduce_with(oracle, journal=journal)
         assert result.degraded is None
         header = json.loads(journal.read_text().splitlines()[0])
         assert header["sequence"] == ReductionJournal.candidate_key(SEQUENCE)
