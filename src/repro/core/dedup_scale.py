@@ -78,7 +78,7 @@ from repro.core.dedup import (
 from repro.core.transformation import SUPPORTING_TYPES
 from repro.observability import as_tracer
 from repro.robustness.chaos import REAL_FILEOPS, FileOps
-from repro.robustness.sealed import parse_record, seal_record
+from repro.robustness.sealed import SealedLog, parse_record
 
 DEDUP_JOURNAL_VERSION = 1
 
@@ -189,92 +189,52 @@ class DedupJournal:
 
     Line 1 is a header binding the file to one input stream (``stream``
     key); every further line is one decision record in arrival order.
-    Follows :class:`~repro.robustness.journal.ReductionJournal`'s
-    resume discipline: a trailing line torn by a mid-write ``SIGKILL``
-    is truncated *in place* so the caught-up journal stays byte-identical
-    to an uninterrupted run's, and a journal written for a different
-    stream raises ``ValueError``.
+    A record schema over :class:`~repro.robustness.sealed.SealedLog`; a
+    journal written for a different stream raises ``ValueError``.
     """
 
     def __init__(
         self, path: Path | str, *, fileops: FileOps | None = None
     ) -> None:
-        self.path = Path(path)
-        self.fileops = fileops if fileops is not None else REAL_FILEOPS
+        self.log = SealedLog(path, fileops or REAL_FILEOPS)
+        self.path = self.log.path
 
     def append(self, record: dict) -> None:
-        fileops = self.fileops
-        with fileops.open(self.path, "ab") as handle:
-            fileops.write(handle, seal_record(record))
-            fileops.fsync(handle)
+        self.log.append(record)
 
     def prepare(self, stream_key: str, *, resume: bool) -> list[dict]:
         """Open the journal; return the already-decided prefix in order.
 
         ``resume=False`` discards any existing content and writes a
-        fresh header.  ``resume=True`` loads the existing decisions (the
-        engine re-verifies each against the live stream) after repairing
-        a torn tail in place.
+        fresh header.  ``resume=True`` keeps the header plus decisions
+        whose ``i`` values are contiguous from 0 (the engine re-verifies
+        each against the live stream) and truncates everything after them
+        in place, to be rewritten by the replay.
         """
-        fileops = self.fileops
         header = {
             "v": DEDUP_JOURNAL_VERSION,
             "header": True,
             "kind": "dedup-stream",
             "stream": stream_key,
         }
-        if not resume or not self.path.exists():
-            with fileops.open(self.path, "wb") as handle:
-                fileops.write(handle, seal_record(header))
-                fileops.fsync(handle)
-            return []
-        data = self.path.read_bytes()
-        # Keep only the longest valid prefix: the header plus decisions
-        # whose ``i`` values are contiguous from 0.  Anything past the
-        # first torn, garbled, or discontiguous line — including the
-        # line itself — is truncated *in place* and rewritten by the
-        # replay, so the caught-up journal is byte-identical to an
-        # uninterrupted run's no matter where corruption struck.
+        records = self.log.bind(
+            header,
+            resume=resume,
+            mismatch="dedup journal was written for a different input "
+            "stream — resume with the stream that produced it",
+        )
         decisions: list[dict] = []
-        seen_header = False
-        keep = 0
-        offset = 0
-        for raw in data.splitlines(keepends=True):
-            end = offset + len(raw)
-            record = (
-                parse_record(raw.decode("utf-8", errors="replace"))
-                if raw.endswith(b"\n")
-                else None
-            )
-            if not seen_header:
-                if record is None or not record.get("header"):
-                    break
-                if record.get("stream") != stream_key:
-                    raise ValueError(
-                        "dedup journal was written for a different input "
-                        "stream — resume with the stream that produced it"
-                    )
-                seen_header = True
-            elif (
+        for record in records:
+            if (
                 record is None
                 or record.get("header")
                 or record.get("i") != len(decisions)
                 or "action" not in record
             ):
                 break
-            else:
-                decisions.append(record)
-            keep = end
-            offset = end
-        if not seen_header:
-            with fileops.open(self.path, "wb") as handle:
-                fileops.write(handle, seal_record(header))
-                fileops.fsync(handle)
-            return []
-        if keep < len(data):
-            with fileops.open(self.path, "r+b") as handle:
-                handle.truncate(keep)
-                fileops.fsync(handle)
+            decisions.append(record)
+        if resume:
+            self.log.truncate_lines(1 + len(decisions))
         return decisions
 
 
@@ -720,7 +680,7 @@ def iter_stream_tests(
     (only ``finding`` events with a ``types`` list are candidates —
     traces written before types were recorded yield nothing); journal
     seed records carry ``seed``/``findings`` and are checksum-verified
-    via :func:`~repro.robustness.journal.parse_record`.  Corrupt or
+    via :func:`~repro.robustness.sealed.parse_record`.  Corrupt or
     foreign lines are skipped — a torn tail must not abort triage.
     """
     path = Path(path)

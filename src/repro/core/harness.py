@@ -681,7 +681,8 @@ class Harness:
 
             def on_shard(runs: list) -> None:
                 if journal is not None:
-                    journal.append_runs(runs)
+                    for run in runs:
+                        journal.append(run)
                 if progress is not None:
                     for run in runs:
                         progress(run)

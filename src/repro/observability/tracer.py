@@ -13,10 +13,10 @@ the same as :class:`~repro.robustness.journal.CampaignJournal`'s:
   can share one trace file without interleaving partial lines; the handle
   is re-opened after a ``fork`` so a child never shares its parent's file
   position;
-* **crash-safe** — same truncated-line discipline as the journal: a writer
-  that finds the file ending mid-line (a previous process was killed
-  mid-write) starts on a fresh line, and :func:`read_trace` skips any line
-  that does not parse.
+* **crash-safe** — a writer that finds the file ending mid-line (a
+  previous process was killed mid-write) starts on a fresh line rather than
+  truncating as the sealed journals do (other writers may share the file),
+  and :func:`read_trace` skips any line that does not parse.
 
 Event shape (one per line)::
 

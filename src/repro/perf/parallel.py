@@ -17,6 +17,8 @@ original serial path.
 from __future__ import annotations
 
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -125,8 +127,27 @@ def spec_names_for(programs: Sequence, factory) -> tuple[str, ...]:
     return names
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer step: a daemon thread ends this worker once
+    its parent dies (a SIGKILLed parent's ``ProcessPoolExecutor`` workers
+    would otherwise block on their call queue forever, holding its pipes)."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _init_worker(spec: CampaignSpec) -> None:
     _WORKER_STATE["harness"] = spec.build()
+
+
+def _init_pool_worker(spec: CampaignSpec) -> None:
+    _exit_with_parent()
+    _init_worker(spec)
 
 
 def _run_seed_shard(seeds: Sequence[int]) -> tuple[list, dict | None]:
@@ -199,7 +220,7 @@ class ParallelExecutor:
         fallback_harness = None
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(shards)),
-            initializer=_init_worker,
+            initializer=_init_pool_worker,
             initargs=(spec,),
         ) as pool:
             futures: list = []

@@ -46,6 +46,8 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.perf.parallel import _exit_with_parent
+
 #: Per-process state built lazily from the initializer's specs:
 #: ``{"specs": {key: spec}, "runners": {key: _Runner}}``.
 _POOL_STATE: dict[str, Any] = {}
@@ -219,6 +221,7 @@ class FindingProbeSpec:
 
 
 def _pool_init(specs: dict) -> None:
+    _exit_with_parent()
     _POOL_STATE["specs"] = specs
     _POOL_STATE["runners"] = {}
 

@@ -405,7 +405,7 @@ class _Execution:
     # -- oracle / journal plumbing -------------------------------------------------
 
     def _prepare_journal(self) -> None:
-        from repro.robustness.journal import ReductionJournal, parse_record
+        from repro.robustness.journal import ReductionJournal
 
         if self.journal is None:
             return
@@ -419,15 +419,7 @@ class _Execution:
             "pipeline": [p.name for p in self.pipeline.passes],
             "giveup": self.giveup,
         }
-        existing = None
-        if self.ctx.resume and self.journal.path.exists():
-            for line in self.journal.path.read_text(
-                encoding="utf-8", errors="replace"
-            ).splitlines():
-                record = parse_record(line)
-                if record is not None and "pipeline" in record:
-                    existing = record
-                    break
+        existing = self.journal.config
         if existing is None:
             # Fresh run — or a resume killed before the config record landed.
             self.journal.append(config)

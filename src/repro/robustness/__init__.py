@@ -45,10 +45,8 @@ from repro.robustness.config import ReductionPolicy, RobustnessConfig
 from repro.robustness.journal import (
     CampaignJournal,
     ReductionJournal,
-    parse_record,
     record_to_run,
     run_to_record,
-    seal_record,
 )
 from repro.robustness.quarantine import QuarantineTracker
 from repro.robustness.reduction import (
@@ -61,6 +59,7 @@ from repro.robustness.retry import (
     backoff_sleep,
     verdict_is_stable,
 )
+from repro.robustness.sealed import parse_record, seal_record
 from repro.robustness.supervisor import (
     SupervisedTarget,
     close_targets,

@@ -1,7 +1,7 @@
 """Deterministic I/O chaos: the ``FileOps`` seam and seeded fault injection.
 
-Every durable writer in the repo (``CampaignJournal``, ``ReductionJournal``,
-``CampaignStore``) performs its I/O through an injectable :class:`FileOps`
+Every durable writer in the repo (each :class:`~repro.robustness.sealed.
+SealedLog` and the schemas over it) performs its I/O through a :class:`FileOps`
 object instead of calling ``os`` directly.  In production that object is
 :data:`REAL_FILEOPS` — a thin, allocation-free pass-through (the CI bench
 gates its overhead at ≤1.05x raw journal-write throughput).  In tests it is

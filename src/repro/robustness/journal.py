@@ -19,11 +19,13 @@ Findings reference their original program *by name* (as
 :class:`~repro.perf.parallel.CampaignSpec` does) — the loader rebuilds the
 module from the harness's reference corpus, so journal files stay small and
 the resumed findings are behaviourally identical to freshly computed ones.
-A line truncated by an untimely kill is ignored; its seed is simply re-run.
-Every line additionally carries a mandatory CRC-32 (``crc``) over its
-canonical JSON, so *interior* corruption — a flipped byte that still
-parses — is detected and the record discarded rather than surfacing
-partially merged (see :func:`seal_record` / :func:`parse_record`;
+Both journals are record schemas over one
+:class:`~repro.robustness.sealed.SealedLog`.  A line torn by an untimely
+kill is cut by the next append and its seed simply re-run.  Every line
+carries a mandatory CRC-32 (``crc``) over its canonical JSON, so
+*interior* corruption — a flipped byte that still parses — is detected
+and the record skipped rather than surfacing partially merged (see
+:func:`seal_record` / :func:`parse_record`, re-exported here;
 pre-checksum journals re-run their seeds).
 
 :class:`ReductionJournal` applies the same fsync-per-line discipline to the
@@ -42,13 +44,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.transformation import sequence_from_json, sequence_to_json
 from repro.robustness.chaos import REAL_FILEOPS, FileOps
-from repro.robustness.sealed import parse_record, seal_record
+from repro.robustness.sealed import (  # noqa: F401 - records re-exported
+    SealedLog,
+    parse_record,
+    seal_record,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.harness import Finding, SeedRun
@@ -120,7 +125,7 @@ def record_to_run(record: dict, references_by_name: dict) -> "SeedRun":
 
 
 class CampaignJournal:
-    """Append-only JSONL journal over a file path.
+    """Append-only journal of one sealed record per seed.
 
     All durable writes go through *fileops* (default: the real OS calls),
     the chaos seam that lets tests make any individual ``open``/``write``/
@@ -130,8 +135,8 @@ class CampaignJournal:
     def __init__(
         self, path: Path | str, *, fileops: FileOps | None = None
     ) -> None:
-        self.path = Path(path)
-        self.fileops = fileops if fileops is not None else REAL_FILEOPS
+        self.log = SealedLog(path, fileops or REAL_FILEOPS)
+        self.path = self.log.path
 
     def append(self, run: "SeedRun") -> None:
         self.append_record(run_to_record(run))
@@ -143,37 +148,18 @@ class CampaignJournal:
         objects) over their result pipes; the service appends them through
         this path so worker and CLI journals are interchangeable.
         """
-        line = seal_record(record)
-        fileops = self.fileops
-        with fileops.open(self.path, "a+b") as handle:
-            if handle.tell() > 0:
-                # A kill can truncate the previous record mid-line; start a
-                # fresh line so this record stays parseable on later resumes.
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    fileops.write(handle, b"\n")
-            fileops.write(handle, line)
-            fileops.fsync(handle)
-
-    def append_runs(self, runs) -> None:
-        for run in runs:
-            self.append(run)
+        self.log.append(record)
 
     def load_records(self) -> dict[int, dict]:
         """Verified records keyed by seed; corrupt lines (torn, garbled, or
         failing their checksum) are skipped — their seeds are simply re-run.
         A later valid record for the same seed wins (re-executed lease
         batches journal identical records, so the duplicate is harmless)."""
-        records: dict[int, dict] = {}
-        if not self.path.exists():
-            return records
-        with self.path.open("r", encoding="utf-8", errors="replace") as handle:
-            for line in handle:
-                record = parse_record(line)
-                if record is None or "seed" not in record:
-                    continue
-                records[record["seed"]] = record
-        return records
+        return {
+            record["seed"]: record
+            for record in self.log.read()
+            if record is not None and "seed" in record
+        }
 
     def load(self, references_by_name: dict) -> dict[int, "SeedRun"]:
         """Completed seeds, keyed by seed.  Malformed (e.g. kill-truncated)
@@ -198,13 +184,21 @@ class ReductionJournal:
     Candidates are keyed by *content* (the SHA-1 of their canonical JSON), so
     keys survive process death — a resumed reduction rebuilds the same
     transformation objects from the finding and looks decisions up by value.
+    The pass pipeline adds one config record (``{"pipeline": [...],
+    "giveup": g}``) after the header.
     """
 
     def __init__(
         self, path: Path | str, *, fileops: FileOps | None = None
     ) -> None:
-        self.path = Path(path)
-        self.fileops = fileops if fileops is not None else REAL_FILEOPS
+        self.log = SealedLog(path, fileops or REAL_FILEOPS)
+        self.path = self.log.path
+        #: The config record :meth:`prepare` found on resume, else ``None``.
+        self.config: dict | None = None
+
+    def __fspath__(self) -> str:
+        """The journal stands for its file wherever a path is accepted."""
+        return str(self.path)
 
     @staticmethod
     def candidate_key(candidate: Sequence) -> str:
@@ -222,10 +216,7 @@ class ReductionJournal:
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
     def append(self, record: dict) -> None:
-        fileops = self.fileops
-        with fileops.open(self.path, "ab") as handle:
-            fileops.write(handle, seal_record(record))
-            fileops.fsync(handle)
+        self.log.append(record)
 
     def prepare(
         self, sequence_key: str, length: int, *, resume: bool
@@ -233,54 +224,30 @@ class ReductionJournal:
         """Open the journal for one reduction run.
 
         With ``resume=False`` any existing content is discarded and a fresh
-        header is written.  With ``resume=True`` the existing records are
-        loaded and returned keyed by candidate key; a trailing line torn by
-        a mid-write ``SIGKILL`` is *truncated in place* (unlike the campaign
-        journal's start-a-fresh-line repair) so the caught-up journal stays
-        byte-identical to an uninterrupted run's.  A journal written for a
-        different initial sequence raises ``ValueError`` — resuming someone
-        else's reduction would replay the wrong verdicts.
+        header is written.  With ``resume=True`` the existing decisions are
+        returned keyed by candidate key and the pass pipeline's config
+        record (if one landed) is kept as :attr:`config`.  A journal written
+        for a different initial sequence raises ``ValueError`` — resuming
+        someone else's reduction would replay the wrong verdicts.
         """
-        fileops = self.fileops
         header = {
             "v": REDUCTION_JOURNAL_VERSION,
             "header": True,
             "sequence": sequence_key,
             "length": length,
         }
-        if not resume or not self.path.exists():
-            with fileops.open(self.path, "wb") as handle:
-                fileops.write(handle, seal_record(header))
-                fileops.fsync(handle)
-            return {}
-        data = self.path.read_bytes()
-        if data and not data.endswith(b"\n"):
-            cut = data.rfind(b"\n") + 1
-            with fileops.open(self.path, "r+b") as handle:
-                handle.truncate(cut)
-                fileops.fsync(handle)
-            data = data[:cut]
-        decisions: dict[str, dict] = {}
-        seen_header = False
-        for line in data.decode("utf-8", errors="replace").splitlines():
-            record = parse_record(line)
-            if record is None:
-                continue  # torn, garbled, or checksum-failing: re-run it
-            if record.get("header"):
-                if record.get("sequence") != sequence_key:
-                    raise ValueError(
-                        "reduction journal was written for a different "
-                        "transformation sequence — resume with the finding "
-                        "that produced it"
-                    )
-                seen_header = True
-                continue
-            if "key" in record and "verdict" in record:
-                decisions[record["key"]] = record
-        if not seen_header:
-            # Empty (or headerless) file: restart it so appends line up.
-            with fileops.open(self.path, "wb") as handle:
-                fileops.write(handle, seal_record(header))
-                fileops.fsync(handle)
-            return {}
-        return decisions
+        records = self.log.bind(
+            header,
+            resume=resume,
+            mismatch="reduction journal was written for a different "
+            "transformation sequence — resume with the finding that "
+            "produced it",
+        )
+        self.config = next(
+            (r for r in records if r is not None and "pipeline" in r), None
+        )
+        return {
+            record["key"]: record
+            for record in records
+            if record is not None and "key" in record and "verdict" in record
+        }

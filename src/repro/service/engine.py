@@ -828,9 +828,7 @@ class CampaignService:
                 for index, finding in enumerate(findings[: manifest.reduce]):
                     result = harness.reduce_finding(
                         finding,
-                        journal=self.store.reduce_journal_path(
-                            campaign_id, index
-                        ),
+                        journal=self.store.reduce_journal(campaign_id, index),
                         resume=True,
                         passes=manifest.reduce_passes or ("ddmin",),
                     )

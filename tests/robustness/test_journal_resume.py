@@ -47,13 +47,23 @@ def test_resume_from_partial_journal_matches_uninterrupted(tmp_path):
     lines = full_journal.read_text().splitlines(keepends=True)
     assert len(lines) == len(SEEDS)
 
-    partial_journal = tmp_path / "partial.jsonl"
-    partial_journal.write_text("".join(lines[:3]))
-    resumed = _harness().run_campaign(SEEDS, journal=partial_journal, resume=True)
+    # A clean cut after three records, and the same cut with the fourth
+    # record torn mid-line (a kill during its write): the resume cuts the
+    # torn tail rather than leaving it behind.
+    for name, text in (
+        ("partial", "".join(lines[:3])),
+        ("torn", "".join(lines[:3]) + lines[3][: len(lines[3]) // 2]),
+    ):
+        partial_journal = tmp_path / f"{name}.jsonl"
+        partial_journal.write_text(text)
+        resumed = _harness().run_campaign(
+            SEEDS, journal=partial_journal, resume=True
+        )
 
-    assert result_key(resumed) == result_key(full)
-    # The resumed journal catches up byte-identically to the uninterrupted one.
-    assert partial_journal.read_text() == full_journal.read_text()
+        assert result_key(resumed) == result_key(full)
+        # The resumed journal catches up byte-identically to the
+        # uninterrupted one.
+        assert partial_journal.read_text() == full_journal.read_text()
 
 
 def test_truncated_and_garbage_lines_are_rerun(tmp_path):

@@ -249,3 +249,55 @@ def test_kill_matrix_recovers_byte_identical(tmp_path):
                 store.journal(campaign_id).load_records()
                 == baseline[campaign_id]["journal"]
             )
+
+
+#: A spec whose first two seeds yield a finding, so ``reduce=1`` runs the
+#: REDUCING phase and writes ``reduce-0.jsonl``.
+REDUCE_SPEC = CampaignSpec(
+    kind="core",
+    target_names=("SwiftShader", "NVIDIA"),
+    reference_names=("arith_mix_0", "loop_sum_5"),
+    donor_names=("donor_math_0",),
+    options=FuzzerOptions(max_transformations=40),
+)
+
+
+def _run_reducing(root: Path, fileops: ChaosFileOps) -> CampaignStore:
+    store = CampaignStore(root, fileops=fileops)
+    service = CampaignService(store, CONFIG)
+    assert (
+        service.submit(CampaignManifest("r1", REDUCE_SPEC, SEEDS, reduce=1))
+        is None
+    )
+    service.fleet.start()
+    fileops.arm()
+    try:
+        service.run_until_idle(max_seconds=120.0)
+    finally:
+        service.shutdown()
+    return store
+
+
+def test_reduction_journal_goes_through_the_seam(tmp_path):
+    healthy = ChaosFileOps(armed=False)
+    store = _run_reducing(tmp_path / "healthy", healthy)
+    assert store.state("r1") == st.DONE
+    reduce_ops = [
+        op
+        for op, path in _relative_ops(healthy.ops, tmp_path / "healthy")
+        if path == os.path.join("campaigns", "r1", "reduce-0.jsonl")
+    ]
+    assert {"open", "write", "fsync"} <= set(reduce_ops), reduce_ops
+
+    position = next(
+        index
+        for index, (op, path) in enumerate(healthy.ops)
+        if op == "write" and path.endswith("reduce-0.jsonl")
+    )
+    fault = _fault_for(healthy.ops, position, error=errno.ENOSPC)
+    faulty = ChaosFileOps([fault], armed=False)
+    store = _run_reducing(tmp_path / "enospc", faulty)
+    assert faulty.fired == [fault]
+    assert store.state("r1") == st.DEGRADED
+    assert store.history("r1")[-1].get("reason") == "finalize-io-error"
+    assert store.check_all() == []
