@@ -66,13 +66,16 @@ class ConstantFoldingPass(Pass):
         for function in module.functions:
             for block in list(function.blocks):
                 for inst in list(block.instructions):
+                    declared = len(module.global_insts)
                     folded = self._fold_instruction(
                         module, builder, constants, inst, bugs
                     )
                     if folded is not None:
                         replace_value_uses(module, inst.result_id, folded)
                         block.instructions.remove(inst)
-                        constants = module_constants(module)
+                        if len(module.global_insts) != declared:
+                            # The builder interned a new constant.
+                            constants = module_constants(module)
                         changed = True
             if self._fold_branches(module, function, constants, bugs):
                 changed = True

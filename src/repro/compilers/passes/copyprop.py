@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.compilers.base import BugContext
 from repro.compilers.passes.base import Pass
-from repro.ir.analysis.cfg import Cfg
 from repro.ir.module import Module
 from repro.ir.opcodes import Op
 from repro.ir.rewrite import replace_value_uses
@@ -46,12 +45,6 @@ class CopyPropagationPass(Pass):
                         self._check_chain_crash(defs, inst, bugs)
 
         for function in module.functions:
-            cfg = Cfg.build(function)
-            def_block: dict[int, int] = {}
-            for fn_block in function.blocks:
-                for fn_inst in fn_block.instructions:
-                    if fn_inst.result_id is not None:
-                        def_block[fn_inst.result_id] = fn_block.label_id
             for block in function.blocks:
                 for inst in list(block.instructions):
                     if inst.opcode is Op.CopyObject:
@@ -59,9 +52,7 @@ class CopyPropagationPass(Pass):
                         block.instructions.remove(inst)
                         changed = True
                     elif inst.opcode is Op.Phi:
-                        if self._simplify_phi(
-                            module, block, inst, defs, cfg, def_block, bugs
-                        ):
+                        if self._simplify_phi(module, block, inst, defs, bugs):
                             changed = True
         return changed
 
@@ -78,9 +69,7 @@ class CopyPropagationPass(Pass):
                 f"{depth} rooted at %{inst.result_id}",
             )
 
-    def _simplify_phi(
-        self, module: Module, block, phi, defs, cfg, def_block, bugs: BugContext
-    ) -> bool:
+    def _simplify_phi(self, module: Module, block, phi, defs, bugs: BugContext) -> bool:
         pairs = phi.phi_pairs()
         values = [v for v, _ in pairs]
 

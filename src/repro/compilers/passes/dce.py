@@ -15,10 +15,12 @@ Injected bug sites:
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.compilers.base import BugContext
 from repro.compilers.passes.base import Pass, is_pure, remove_unreachable_blocks
 from repro.ir.module import Module
-from repro.ir.opcodes import TRAPPING_OPS, Op
+from repro.ir.opcodes import Op
 
 
 class DeadCodeEliminationPass(Pass):
@@ -46,32 +48,44 @@ class DeadCodeEliminationPass(Pass):
         return changed
 
     def _remove_unused_pure(self, module: Module, bugs: BugContext) -> bool:
-        changed = False
-        while True:
-            used: set[int] = set()
-            for inst in module.all_instructions():
-                used.update(inst.used_ids())
-            removed_any = False
-            for function in module.functions:
-                for block in function.blocks:
-                    for inst in list(block.instructions):
-                        if inst.result_id is None or inst.result_id in used:
-                            continue
-                        if inst.opcode in TRAPPING_OPS:
-                            # A trapping instruction in reachable code cannot
-                            # be removed soundly in general; in our IR it can
-                            # (traps are UB, and UB-free programs never trap),
-                            # mirroring how real compilers treat UB.
-                            pass
-                        if is_pure(inst) and inst.opcode is not Op.Phi:
-                            block.instructions.remove(inst)
-                            removed_any = True
-                        elif inst.opcode is Op.Phi:
-                            block.instructions.remove(inst)
-                            removed_any = True
-            if not removed_any:
-                return changed
-            changed = True
+        """Remove pure body instructions (phis included) whose results are
+        unused, transitively.
+
+        One module sweep counts the uses of every id; removing an
+        instruction decrements the counts of the ids it uses, and a pure
+        instruction whose count reaches zero joins the worklist.  Removing an
+        unused instruction never makes another one used, so this removes
+        exactly what re-sweeping to a fixpoint would.  Trapping opcodes are
+        removable too: traps are UB, and UB-free programs never trap,
+        mirroring how real compilers treat UB.
+        """
+        uses = Counter(
+            used for inst in module.all_instructions() for used in inst.used_ids()
+        )
+        removable = {
+            inst.result_id: inst
+            for function in module.functions
+            for block in function.blocks
+            for inst in block.instructions
+            if inst.result_id is not None and is_pure(inst)
+        }
+        worklist = [rid for rid in removable if rid not in uses]
+        dead: set[int] = set()
+        while worklist:
+            rid = worklist.pop()
+            dead.add(rid)
+            for used in removable[rid].used_ids():
+                uses[used] -= 1
+                if not uses[used] and used in removable:
+                    worklist.append(used)
+        if not dead:
+            return False
+        for function in module.functions:
+            for block in function.blocks:
+                block.instructions = [
+                    inst for inst in block.instructions if inst.result_id not in dead
+                ]
+        return True
 
     def _remove_dead_local_stores(self, module: Module, bugs: BugContext) -> bool:
         """Remove stores to Function-storage variables that are never loaded.
@@ -155,11 +169,11 @@ class DeadCodeEliminationPass(Pass):
                 if len(block.instructions) != before:
                     changed = True
             # Remove the now-unreferenced variables themselves.
+            referenced: set[int] = set()
+            for inst in module.all_instructions():
+                referenced.update(inst.used_ids())
             for block in function.blocks:
                 before = len(block.instructions)
-                referenced: set[int] = set()
-                for inst in module.all_instructions():
-                    referenced.update(inst.used_ids())
                 block.instructions = [
                     inst
                     for inst in block.instructions
@@ -187,3 +201,4 @@ class DeadCodeEliminationPass(Pass):
                 changed = True
         module.functions = keep
         return changed
+

@@ -45,21 +45,29 @@ class Mem2RegPass(Pass):
     def run(self, module: Module, bugs: BugContext) -> bool:
         changed = False
         builder = ModuleBuilder.wrap(module)
+        types: dict[int, tys.Type] | None = None
         for function in module.functions:
-            if not function.blocks:
-                continue
+            if not function.blocks or not any(
+                inst.opcode is Op.Variable for inst in function.blocks[0].instructions
+            ):
+                continue  # only entry-block variables are candidates
             cfg = Cfg.build(function)
             if len(cfg.reachable) != len(function.blocks):
                 continue  # conservatively skip functions with dead blocks
-            if self._promote_function(module, builder, function, cfg, bugs):
+            if types is None:
+                # Promotion only appends declarations (interned initial
+                # values), so one table serves every function of the run.
+                types = module.type_table()
+            if self._promote_function(module, builder, function, cfg, types, bugs):
                 changed = True
         return changed
 
     # -- candidate discovery --------------------------------------------------
 
-    def _promotable_variables(self, module: Module, function: Function) -> list[Instruction]:
+    def _promotable_variables(
+        self, function: Function, types: dict[int, tys.Type]
+    ) -> list[Instruction]:
         candidates: dict[int, Instruction] = {}
-        types = module.type_table()
         for inst in function.entry_block().instructions:
             if inst.opcode is not Op.Variable:
                 continue
@@ -91,9 +99,10 @@ class Mem2RegPass(Pass):
         builder: ModuleBuilder,
         function: Function,
         cfg: Cfg,
+        types: dict[int, tys.Type],
         bugs: BugContext,
     ) -> bool:
-        variables = self._promotable_variables(module, function)
+        variables = self._promotable_variables(function, types)
         if not variables:
             return False
 
@@ -101,15 +110,21 @@ class Mem2RegPass(Pass):
         layout_is_rpo = [b.label_id for b in function.blocks] == cfg.rpo
         states: list[_PromotionState] = []
         for var_inst in variables:
-            state = self._make_state(module, builder, var_inst)
+            state = self._make_state(builder, types, var_inst)
             self._place_phis(module, function, cfg, frontiers, state, bugs)
             states.append(state)
 
         stacks = {s.variable_id: [s.initial_value_id] for s in states}
         by_var = {s.variable_id: s for s in states}
+        blocks: dict[int, Block] = {}
+        for block in function.blocks:
+            blocks.setdefault(block.label_id, block)
+        children: dict[int, list[int]] = {}
+        for child_label, parent in cfg.idom.items():
+            if child_label != parent:
+                children.setdefault(parent, []).append(child_label)
         self._rename(
-            module, function, cfg, function.entry_block(), by_var, stacks, bugs,
-            layout_is_rpo,
+            module, blocks, children, function.entry_block(), by_var, stacks
         )
 
         # Injected layout-sensitivity: with a non-RPO layout, the pass pairs
@@ -162,9 +177,8 @@ class Mem2RegPass(Pass):
         return True
 
     def _make_state(
-        self, module: Module, builder: ModuleBuilder, var_inst: Instruction
+        self, builder: ModuleBuilder, types: dict[int, tys.Type], var_inst: Instruction
     ) -> _PromotionState:
-        types = module.type_table()
         ptr_ty = types[var_inst.type_id]
         assert isinstance(ptr_ty, tys.PointerType)
         pointee = ptr_ty.pointee
@@ -226,14 +240,14 @@ class Mem2RegPass(Pass):
     def _rename(
         self,
         module: Module,
-        function: Function,
-        cfg: Cfg,
+        blocks: dict[int, Block],
+        children: dict[int, list[int]],
         block: Block,
         by_var: dict[int, _PromotionState],
         stacks: dict[int, list[int]],
-        bugs: BugContext,
-        layout_is_rpo: bool,
     ) -> None:
+        """Rename loads and stores in *block*, then in its dominator-tree
+        children (*children* maps a label to them, in ``cfg.idom`` order)."""
         pushed: dict[int, int] = {}
 
         def push(var_id: int, value_id: int) -> None:
@@ -264,18 +278,10 @@ class Mem2RegPass(Pass):
                     continue
                 phi.operands.extend([stacks[state.variable_id][-1], block.label_id])
 
-        for child_label, parent in cfg.idom.items():
-            if parent == block.label_id and child_label != block.label_id:
-                self._rename(
-                    module,
-                    function,
-                    cfg,
-                    function.block(child_label),
-                    by_var,
-                    stacks,
-                    bugs,
-                    layout_is_rpo,
-                )
+        for child_label in children.get(block.label_id, ()):
+            self._rename(
+                module, blocks, children, blocks[child_label], by_var, stacks
+            )
 
         for var_id, count in pushed.items():
             del stacks[var_id][-count:]

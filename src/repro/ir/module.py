@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.ir.opcodes import OP_INFO, Op, OperandKind, op_info
+from repro.ir.opcodes import Op, OperandKind
 from repro.ir import types as tys
 
 Operand = int | float | bool | str
@@ -41,7 +41,7 @@ class Instruction:
     operands: list[Operand] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        info = OP_INFO[self.opcode]
+        info = self.opcode.info
         if info.has_result and self.result_id is None:
             raise IrError(f"{self.opcode} requires a result id")
         if not info.has_result and self.result_id is not None:
@@ -55,7 +55,7 @@ class Instruction:
 
     def operand_slots(self) -> list[tuple[OperandKind, Operand]]:
         """Pair each operand with its :class:`OperandKind` from the signature."""
-        info = op_info(self.opcode)
+        info = self.opcode.info
         slots: list[tuple[OperandKind, Operand]] = []
         kinds = info.operands
         i = 0
@@ -104,7 +104,7 @@ class Instruction:
 
         Ids absent from *mapping* are left unchanged.
         """
-        info = op_info(self.opcode)
+        info = self.opcode.info
         new_operands: list[Operand] = []
         i = 0
         for kind in info.operands:
@@ -134,7 +134,7 @@ class Instruction:
         value and predecessor operands are considered uses; callers replacing
         only value operands should edit ``operands`` directly.
         """
-        info = op_info(self.opcode)
+        info = self.opcode.info
         changed = False
         i = 0
         for kind in info.operands:
@@ -470,7 +470,33 @@ class Module:
         return table[inst.type_id]
 
     def find_type_id(self, wanted: tys.Type) -> int | None:
-        """Result id of the declaration of structural type *wanted*, if any."""
+        """Result id of the declaration of structural type *wanted*, if any.
+
+        The first declaration in :meth:`type_table` order wins.  Bool, int
+        and float types are found by scanning the ``OpType*`` declarations
+        directly (the table is global-section order, and a scalar declaration
+        references nothing), so interning a scalar constant builds no table.
+        """
+        kind = type(wanted)
+        if kind is tys.BoolType:
+            for inst in self.global_insts:
+                if inst.opcode is Op.TypeBool:
+                    return inst.result_id
+            return None
+        if kind is tys.IntType:
+            for inst in self.global_insts:
+                if (
+                    inst.opcode is Op.TypeInt
+                    and int(inst.operands[0]) == wanted.width
+                    and bool(inst.operands[1]) == wanted.signed
+                ):
+                    return inst.result_id
+            return None
+        if kind is tys.FloatType:
+            for inst in self.global_insts:
+                if inst.opcode is Op.TypeFloat and int(inst.operands[0]) == wanted.width:
+                    return inst.result_id
+            return None
         for rid, ty in self.type_table().items():
             if ty == wanted:
                 return rid
@@ -511,7 +537,7 @@ class Module:
             inst = self.get_instruction(result_id)
         except IrError:
             return False
-        return op_info(inst.opcode).is_constant_decl and inst.opcode is not Op.Undef
+        return inst.opcode.info.is_constant_decl and inst.opcode is not Op.Undef
 
     # -- global section editing ------------------------------------------------
 

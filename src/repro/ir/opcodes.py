@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 
 class Op(enum.Enum):
-    """Opcode mnemonics, named after their SPIR-V counterparts."""
+    """Opcode mnemonics, named after their SPIR-V counterparts.
+
+    Every member carries its :class:`OpInfo` as ``info`` (set below
+    :data:`OP_INFO`).
+    """
+
+    info: "OpInfo"
 
     # Types.
     TypeVoid = "OpTypeVoid"
@@ -263,6 +269,11 @@ OP_INFO: dict[Op, OpInfo] = dict(
 )
 
 
+for _op, _op_info in OP_INFO.items():
+    # Slotted on the member: ``op.info`` is an attribute read, where
+    # ``OP_INFO[op]`` pays a Python-level ``Enum.__hash__`` per lookup.
+    _op.info = _op_info
+
 OP_BY_NAME: dict[str, Op] = {op.value: op for op in Op}
 
 #: Function-control literal values accepted on OpFunction, after SPIR-V.
@@ -334,5 +345,11 @@ TRAPPING_OPS = frozenset({Op.SDiv, Op.SRem})
 
 
 def op_info(op: Op) -> OpInfo:
-    """Return the :class:`OpInfo` for *op*."""
-    return OP_INFO[op]
+    """Return the :class:`OpInfo` for *op*.
+
+    Reads the metadata slotted on the member (``op.info``), the same object
+    :data:`OP_INFO` holds; hot loops may read ``op.info`` directly.  The
+    attribute leaves ``Op``'s hash (the enum default) alone, so code that
+    iterates sets of opcodes sees an unchanged order.
+    """
+    return op.info

@@ -23,11 +23,20 @@ def replace_value_uses(module: Module, old_id: int, new_id: int) -> int:
     Phi predecessor slots and branch targets hold block labels, which are
     never value ids, so a plain operand sweep is safe; phi value slots are
     replaced.  Returns the number of replaced uses.
+
+    An instruction is walked slot by slot only when ``old_id in
+    inst.operands``, a list-containment test that runs in C.  The test is a
+    superset of "has an id slot equal to *old_id*": id slots hold ints, so
+    every use is found, and a literal that merely compares equal (an
+    ``OpConstant`` whose value is *old_id*, or a float ``== old_id``) only
+    costs the slot walk, which skips literal slots as before.
     """
     count = 0
     for function in module.functions:
         for block in function.blocks:
             for inst in block.all_instructions():
+                if old_id not in inst.operands:
+                    continue
                 if inst.opcode is Op.Phi:
                     for i in range(0, len(inst.operands), 2):
                         if int(inst.operands[i]) == old_id:
@@ -36,7 +45,7 @@ def replace_value_uses(module: Module, old_id: int, new_id: int) -> int:
                 elif inst.replace_uses(old_id, new_id):
                     count += 1
     for inst in module.global_insts:
-        if inst.replace_uses(old_id, new_id):
+        if old_id in inst.operands and inst.replace_uses(old_id, new_id):
             count += 1
     return count
 

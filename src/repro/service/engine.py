@@ -113,6 +113,10 @@ class _Active:
     #: paths finalize from equal dicts and write identical result bytes.
     records: dict = field(default_factory=dict)
     started: float | None = None  # monotonic time of the first grant
+    #: The store's state is past QUEUED.  Set from the store at admission
+    #: and recovery and after the grant path records RUNNING, so a grant
+    #: reads no meta history (state only changes at transitions).
+    running: bool = False
     probes: int = 0
     requeues: int = 0
     reexecuted_seeds: int = 0
@@ -373,6 +377,7 @@ class CampaignService:
                     manifest=manifest,
                     journaled=journaled,
                     records=records,
+                    running=current != st.QUEUED,
                     dedup=StreamingDedup(tracer=self.tracer),
                 )
                 # Re-feed the live picker from the journal in file order —
@@ -584,8 +589,9 @@ class CampaignService:
                 if not remaining:
                     continue  # fully journaled by an earlier lease
                 try:
-                    if self.store.state(batch.campaign_id) == st.QUEUED:
+                    if not active.running:
                         self.store.transition(batch.campaign_id, st.RUNNING)
+                        active.running = True
                 except OSError as exc:
                     # Can't durably record RUNNING — granting anyway would
                     # act on an unrecorded transition.  Degrade this

@@ -4,6 +4,7 @@ import pytest
 
 from repro.interp import execute
 from repro.ir import IntType, ModuleBuilder, VoidType, validate
+from repro.ir import types as tys
 from repro.ir.module import IrError
 from repro.ir.opcodes import Op
 from repro.ir.rewrite import (
@@ -45,6 +46,62 @@ class TestReplaceValueUses:
         pred = int(phi.operands[1])
         replace_value_uses(m, pred, 123456)
         assert int(phi.operands[1]) == pred
+
+    # The fast reject (``old_id in inst.operands``) also lets through
+    # literals that merely compare equal to the id; the slot walk must still
+    # leave them alone.
+
+    def test_literal_equal_to_old_id_untouched(self, straightline_module):
+        m = straightline_module
+        builder = ModuleBuilder.wrap(m)
+        add = next(
+            i for i in m.entry_function().entry_block().instructions if i.opcode is Op.IAdd
+        )
+        old = int(add.operands[0])
+        int_lit = m.get_instruction(builder.int_const(old))
+        float_lit = m.get_instruction(builder.float_const(float(old)))
+        new = builder.int_const(77)
+        assert replace_value_uses(m, old, new) == 1
+        assert int(add.operands[0]) == new
+        assert int_lit.operands == [old]
+        assert float_lit.operands == [float(old)]
+
+    def test_phi_label_slot_untouched_value_slot_rewritten(self, branching_module):
+        fn = branching_module.entry_function()
+        phi = fn.blocks[-1].phis()[0]
+        # The same (otherwise unused) number in a predecessor slot and a
+        # value slot of one phi.
+        old = branching_module.fresh_id()
+        phi.operands[1] = phi.operands[2] = old
+        assert replace_value_uses(branching_module, old, 999) == 1
+        assert phi.operands[1:3] == [old, 999]
+
+    def test_count_on_repeated_uses(self):
+        """One per non-phi instruction however many of its slots match, one
+        per matching phi value slot, globals included."""
+        b = ModuleBuilder()
+        out = b.output("out", IntType())
+        uk = b.uniform("k", IntType())
+        c = b.int_const(3)
+        b.int_const(c)  # an OpConstant whose literal is c's id
+        vec = b.composite_const(tys.VectorType(tys.IntType(), 2), [c, c])
+        f = b.function("main", VoidType())
+        entry, left, right, join = f.block(), f.block(), f.block(), f.block()
+        k = entry.load(IntType(), uk)
+        doubled = entry.iadd(c, c)
+        entry.branch_cond(entry.slt(k, c), left.label_id, right.label_id)
+        left.branch(join.label_id)
+        right.branch(join.label_id)
+        merged = join.phi(IntType(), [(c, left.label_id), (c, right.label_id)])
+        join.store(out, join.iadd(merged, doubled))
+        join.ret()
+        b.entry_point(f.result_id)
+        m = b.build()
+        new = b.int_const(4)
+        # iadd c c, slt k c, the phi's two value slots, the composite.
+        assert replace_value_uses(m, c, new) == 5
+        assert m.get_instruction(vec).operands == [new, new]
+        assert replace_value_uses(m, c, new) == 0
 
 
 class TestPhiMaintenance:

@@ -333,3 +333,40 @@ def test_healthz_and_findings_queries(tmp_path):
         assert service.status("nope") is None
     finally:
         service.shutdown()
+
+
+def _meta_reads_over_two_campaigns(tmp_path, seeds_per_campaign, monkeypatch):
+    from repro.robustness.sealed import SealedLog
+
+    reads = []
+    original = SealedLog.read
+
+    def counting_read(self):
+        if self.path.name == "meta.jsonl":
+            reads.append(self.path.parent.name)
+        return original(self)
+
+    monkeypatch.setattr(SealedLog, "read", counting_read)
+    service = _service(tmp_path, batch_size=2)
+    service.start()
+    try:
+        for index, tenant in enumerate(("alice", "bob")):
+            seeds = range(index * 100, index * 100 + seeds_per_campaign)
+            manifest = CampaignManifest(
+                f"c{index}", WellBehavedSpec(), tuple(seeds), tenant=tenant
+            )
+            assert service.submit(manifest) is None
+        service.run_until_idle(max_seconds=60)
+    finally:
+        service.shutdown()
+    assert service.store.state("c0") == service.store.state("c1") == st.DONE
+    monkeypatch.undo()
+    return len(reads)
+
+
+def test_batch_grants_read_no_meta_history(tmp_path, monkeypatch):
+    """The meta history is read at transitions, not once per batch grant:
+    the read count does not grow with the number of batches."""
+    few = _meta_reads_over_two_campaigns(tmp_path / "few", 8, monkeypatch)
+    many = _meta_reads_over_two_campaigns(tmp_path / "many", 32, monkeypatch)
+    assert few == many
